@@ -54,12 +54,12 @@ def test_ablation_reuse_levels(benchmark, hlm_inputs, level):
 
 
 @pytest.mark.parametrize("budget_mb", [1, 8, 64, 512])
-def test_ablation_cache_budget(benchmark, hlm_inputs, budget_mb):
-    benchmark.group = "ablation cache budget (HLM)"
+def test_ablation_memory_budget(benchmark, hlm_inputs, budget_mb):
+    benchmark.group = "ablation memory budget (HLM)"
     benchmark.extra_info["figure"] = "ablation"
 
     def factory():
-        return LimaConfig.ca().with_(cache_budget=budget_mb << 20)
+        return LimaConfig.ca().with_(memory_budget=budget_mb << 20)
 
     bench_cold(benchmark, factory, HLM, hlm_inputs)
 

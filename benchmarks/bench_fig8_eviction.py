@@ -46,9 +46,9 @@ def policy_factory(name, budget=_BUDGET):
         if name == "Base":
             return LimaConfig.base()
         if name == "Infinite":
-            return LimaConfig.hybrid().with_(cache_budget=1 << 40)
+            return LimaConfig.hybrid().with_(memory_budget=1 << 40)
         return LimaConfig.hybrid().with_(eviction_policy=_POLICY_MAP[name],
-                                         cache_budget=budget, spill=False)
+                                         memory_budget=budget, spill=False)
     return factory
 
 
@@ -188,17 +188,13 @@ def test_fig8b_policies_agree_numerically(minibatch_data):
 
 
 # ---------------------------------------------------------------------------
-# standalone mode: policy comparison + unified-budget numbers
+# standalone mode: policy comparison (Table 1)
 #
 #   python benchmarks/bench_fig8_eviction.py --quick
 #
-# Quick mode shrinks the phases pipeline so matrices sit below the buffer
-# pool's participation threshold: live inputs then charge the unified
-# manager nothing, making cache-only (legacy ``cache_budget``) and unified
-# (``memory_budget``) runs directly comparable at the same total bytes.
-# It exits non-zero when the unified manager loses hits versus the legacy
-# cache-only configuration at an equal budget, or when Cost&Size misses
-# its reuse floor — a cheap CI regression gate for the eviction engine.
+# Quick mode shrinks the phases pipeline and exits non-zero when Cost&Size
+# misses its reuse floor — a cheap CI regression gate for the eviction
+# engine.
 # ---------------------------------------------------------------------------
 
 _QUICK_BUDGET = 1024 * 1024
@@ -213,16 +209,6 @@ def _quick_data():
 def _quick_script():
     # same three-phase shape, sliced for the 80-row quick input
     return PHASES_SCRIPT.replace("X[1:500, ]", "X[1:40, ]")
-
-
-def _run_config(config, script, data):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        sess = LimaSession(config, seed=7)
-        sess.run(script, inputs=data, seed=7)
-    return sess
 
 
 def _report_session(label, sess):
@@ -251,39 +237,13 @@ def run_standalone(quick=True):
     for policy in ("LRU", "DAG-Height", "C&S"):
         cfg = LimaConfig.hybrid().with_(eviction_policy=_POLICY_MAP[policy],
                                         memory_budget=budget)
-        sess = _run_config(cfg, script, data)
+        sess = LimaSession(cfg, seed=7)
+        sess.run(script, inputs=data, seed=7)
         policy_hits[policy] = _report_session(policy, sess)
     if quick and policy_hits["C&S"] < 300:
         failures.append(
             f"C&S reuse floor missed: {policy_hits['C&S']} hits < 300 "
             "(expected P2 re-admission + P3 multiply hits)")
-
-    print("unified budget vs legacy cache-only (same total bytes):")
-    # LRU without spilling is fully deterministic (no measured compute
-    # times or bandwidth in any eviction decision), so this comparison is
-    # an exact regression gate rather than a timing-noise race; the wider
-    # budget leaves room for genuine reuse under pressure
-    gate_budget = budget + budget // 2
-    cache_only = _run_config(
-        LimaConfig.hybrid().with_(cache_budget=gate_budget, spill=False,
-                                  eviction_policy="lru"), script, data)
-    hits_cache_only = _report_session("cache-only (legacy)", cache_only)
-    unified = _run_config(
-        LimaConfig.hybrid().with_(memory_budget=gate_budget, spill=False,
-                                  eviction_policy="lru"), script, data)
-    hits_unified = _report_session("unified manager", unified)
-    mem = unified.memory_stats
-    print(f"  unified spill/restore counts: "
-          f"cache={mem.cache_spills}/{mem.cache_restores} "
-          f"pool={mem.pool_spills}/{mem.pool_restores} "
-          f"pressure={mem.pressure_events}")
-    if quick and hits_unified < hits_cache_only:
-        failures.append(
-            f"unified manager regressed: {hits_unified} hits vs "
-            f"{hits_cache_only} cache-only at the same budget")
-    if quick and hits_unified == 0:
-        failures.append("unified gate is vacuous: no reuse at all — "
-                        "re-size the quick workload")
 
     for failure in failures:
         print(f"REGRESSION: {failure}")
@@ -378,7 +338,7 @@ if __name__ == "__main__":
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Fig. 8 eviction: policy + unified-budget comparison")
+        description="Fig. 8 eviction: policy comparison and chaos gate")
     parser.add_argument("--quick", action="store_true",
                         help="small data, asserted regression gates")
     parser.add_argument("--inject-fault", action="append", default=[],

@@ -2,7 +2,7 @@
 
 Mirrors the configuration surface described in the LIMA paper (Section 4.1
 and Section 5.1): reuse types (none / full / partial / hybrid), multi-level
-reuse, eviction policy, cache budget, disk spilling, lineage deduplication,
+reuse, eviction policy, memory budget, disk spilling, lineage deduplication,
 operator fusion, and compiler assistance.
 
 The named presets used throughout the paper's experiments are exposed as
@@ -25,7 +25,6 @@ Preset          Meaning in the paper
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 #: Opcodes whose outputs qualify for caching.  Mirrors the configurable set
@@ -46,6 +45,10 @@ DEFAULT_REUSABLE_OPCODES = frozenset({
     "matrix", "replace", "fused",
     "recodeEncode", "binEncode", "oneHotEncode",
 })
+
+#: cache budget when ``memory_budget`` is unset and reuse is on (the paper
+#: defaults to 5% of heap; 256 MiB plays that role on a laptop-scale build)
+DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
 
 @dataclass
@@ -74,15 +77,10 @@ class LimaConfig:
     #: or "costsize" (Table 1)
     eviction_policy: str = "costsize"
     #: unified memory budget in bytes shared by the lineage cache and the
-    #: live-variable buffer pool (``None`` = derive from the deprecated
-    #: ``cache_budget``/``buffer_pool_budget`` aliases below)
+    #: live-variable buffer pool; a positive value also enables the pool.
+    #: ``None`` = :data:`DEFAULT_CACHE_BYTES` for the cache when reuse is
+    #: on, 0 otherwise, buffer pool off
     memory_budget: int | None = None
-    #: DEPRECATED alias: cache byte budget (the paper defaults to 5% of
-    #: heap; we default to 256 MiB which plays the same role on a
-    #: laptop-scale build).  When ``memory_budget`` is unset, this carves
-    #: the cache's fraction of the unified budget; prefer
-    #: ``memory_budget``.
-    cache_budget: int = 256 * 1024 * 1024
     #: spill evicted entries to disk when recompute cost exceeds I/O cost
     spill: bool = True
     #: directory for spill files (None = a per-manager temp directory)
@@ -94,10 +92,6 @@ class LimaConfig:
     parfor_workers: int | None = None
     #: assumed disk bandwidth (bytes/s) seeding the adaptive I/O estimate
     disk_bandwidth: float = 512.0 * 1024 * 1024
-    #: DEPRECATED alias: extra budget (bytes) carved for the live-variable
-    #: buffer pool; ``None`` disables the pool unless ``memory_budget``
-    #: is set (which always enables it).  Prefer ``memory_budget``.
-    buffer_pool_budget: int | None = None
     #: fault-injection specs (``point:kind[:rate=R,seed=S,times=N]``
     #: strings or FaultSpec objects); empty = no instrumented faults
     fault_specs: tuple = ()
@@ -136,8 +130,7 @@ class LimaConfig:
         The memory budget is zero, so nothing is ever admitted and every
         probe misses — isolating the probing overhead.
         """
-        return LimaConfig(lineage=True, reuse_full=True, cache_budget=0,
-                          memory_budget=0)
+        return LimaConfig(lineage=True, reuse_full=True, memory_budget=0)
 
     @staticmethod
     def ltd() -> "LimaConfig":
@@ -182,34 +175,15 @@ class LimaConfig:
     def buffer_pool_enabled(self) -> bool:
         """True when live variables participate in memory management.
 
-        Opt-in: either through the deprecated ``buffer_pool_budget`` alias
-        or by setting a (positive) unified ``memory_budget``.
+        Opt-in by setting a (positive) unified ``memory_budget``.
         """
-        if self.buffer_pool_budget is not None:
-            return True
         return self.memory_budget is not None and self.memory_budget > 0
 
     def resolved_memory_budget(self) -> int:
-        """The unified byte budget the memory manager enforces.
-
-        ``memory_budget`` wins when set.  Otherwise the deprecated
-        ``cache_budget``/``buffer_pool_budget`` aliases carve their
-        fractions of one budget: the sum of the cache budget (when reuse
-        is enabled) and the pool budget (when configured) — legacy
-        configurations keep their total memory footprint.
-        """
+        """The unified byte budget the memory manager enforces."""
         if self.memory_budget is not None:
             return self.memory_budget
-        legacy = _DEFAULT_CACHE_BUDGET
-        if self.cache_budget != legacy or self.buffer_pool_budget is not None:
-            warnings.warn(
-                "LimaConfig.cache_budget / buffer_pool_budget are "
-                "deprecated aliases; set the unified memory_budget instead",
-                DeprecationWarning, stacklevel=3)
-        budget = self.cache_budget if self.reuse_enabled else 0
-        if self.buffer_pool_budget is not None:
-            budget += self.buffer_pool_budget
-        return budget
+        return DEFAULT_CACHE_BYTES if self.reuse_enabled else 0
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent settings."""
@@ -218,8 +192,6 @@ class LimaConfig:
                 f"unknown eviction policy: {self.eviction_policy!r}")
         if self.reuse_enabled and not self.lineage:
             raise ValueError("reuse requires lineage tracing to be enabled")
-        if self.cache_budget < 0:
-            raise ValueError("cache_budget must be >= 0")
         if self.memory_budget is not None and self.memory_budget < 0:
             raise ValueError("memory_budget must be >= 0")
         if self.parfor_retries < 0:
@@ -236,7 +208,3 @@ class LimaConfig:
                 if not isinstance(spec, FaultSpec):
                     parse_fault_spec(spec)  # raises ValueError when invalid
 
-
-#: default of the deprecated ``cache_budget`` alias (used to detect
-#: explicit legacy configuration worth a deprecation warning)
-_DEFAULT_CACHE_BUDGET = 256 * 1024 * 1024

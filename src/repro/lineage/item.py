@@ -71,7 +71,6 @@ class _InternRef(weakref.ref):
 #: creation is on the tracing hot path and the direct form skips the
 #: wrapper's per-access bookkeeping.
 _INTERN: dict[tuple, _InternRef] = {}
-_INTERNING = True
 
 
 def _intern_expire(wr: _InternRef) -> None:
@@ -83,38 +82,6 @@ def _intern_expire(wr: _InternRef) -> None:
 #: instrumentation: number of structural-equality walks performed;
 #: interned probes must never increment this (asserted by tests)
 _STRUCTURAL_EQ_CALLS = 0
-
-#: when True, hashes and heights are materialized at construction, as in
-#: the pre-overhaul implementation — exists only so benchmarks can record
-#: an in-run baseline (see benchmarks/bench_hotpath.py)
-_EAGER_HASHING = False
-
-
-def set_interning(enabled: bool) -> bool:
-    """Enable/disable hash-consing; returns the previous setting.
-
-    Disabling exists for benchmarking the pre-interning behaviour — the
-    structural-equality fallback keeps semantics identical either way.
-    """
-    global _INTERNING
-    previous = _INTERNING
-    _INTERNING = bool(enabled)
-    return previous
-
-
-def interning_enabled() -> bool:
-    return _INTERNING
-
-
-def set_eager_hashing(enabled: bool) -> bool:
-    """Materialize hashes/heights at construction (pre-overhaul behaviour).
-
-    Benchmark baseline support only; returns the previous setting.
-    """
-    global _EAGER_HASHING
-    previous = _EAGER_HASHING
-    _EAGER_HASHING = bool(enabled)
-    return previous
 
 
 def intern_table_size() -> int:
@@ -142,7 +109,7 @@ class LineageItem:
     def __new__(cls, opcode: str, inputs: Iterable["LineageItem"] = (),
                 data: str | None = None, hash_override: int | None = None):
         inputs = tuple(inputs)
-        if hash_override is None and _INTERNING:
+        if hash_override is None:
             # keyed on input *identities*: inputs are themselves interned,
             # so identical ids <=> structurally identical sub-DAGs.
             # Arity-specialized tuple displays avoid the map+concat on the
@@ -293,8 +260,6 @@ def traced_item(opcode: str, inputs: tuple) -> LineageItem:
     interpreter's compiled dispatch to skip ``type.__call__`` overhead on
     the per-instruction tracing path.
     """
-    if not _INTERNING:
-        return LineageItem(opcode, inputs)
     n = len(inputs)
     if n == 2:
         key = (opcode, None, id(inputs[0]), id(inputs[1]))
@@ -314,9 +279,6 @@ def traced_item(opcode: str, inputs: tuple) -> LineageItem:
     item.data = None
     item._height = None
     item._hash = None
-    if _EAGER_HASHING:
-        item._hash = hash((opcode, None) + tuple(map(hash, inputs)))
-        item._height = (1 + max(i.height for i in inputs)) if inputs else 0
     wr = _InternRef(item, _intern_expire)
     wr.key = key
     _INTERN[key] = wr
@@ -331,14 +293,7 @@ def _init_item(self: LineageItem, opcode: str,
     self.inputs = inputs
     self.data = data
     self._height = None
-    if hash_override is not None:
-        self._hash = hash_override
-    elif _EAGER_HASHING:
-        self._hash = hash(
-            (opcode, data) + tuple(map(hash, inputs)))
-        self._height = (1 + max(i.height for i in inputs)) if inputs else 0
-    else:
-        self._hash = None
+    self._hash = hash_override
 
 
 def _compute_hash(root: LineageItem) -> int:

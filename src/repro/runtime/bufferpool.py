@@ -241,20 +241,8 @@ class BufferPool(MemoryRegion):
             return value
 
     # ------------------------------------------------------------------
-    # compatibility and lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-
-    def evict_if_needed(self, symbols) -> int:
-        """Deprecated shim: admission now evicts internally.
-
-        Kept for callers that drove eviction explicitly; attaches the
-        table and applies pressure through the manager.  Returns the
-        number of live variables spilled by this call.
-        """
-        self.attach_table(symbols)
-        before = self.spills
-        self.memory.evict_to_fit()
-        return self.spills - before
 
     def release(self, value: Value) -> None:
         """Drop accounting for a value removed from a symbol table."""

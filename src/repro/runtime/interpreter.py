@@ -28,7 +28,7 @@ from repro.data.values import (ListValue, ScalarValue, StringValue, Value,
                                wrap)
 from repro.errors import LimaRuntimeError
 from repro.lineage.dedup import DedupTracker, make_dedup_items
-from repro.lineage.item import LineageItem, literal_item, traced_item
+from repro.lineage.item import LineageItem, traced_item
 from repro.lineage.lmap import LineageMap
 from repro.reuse.cache import LineageCache
 from repro.reuse.multilevel import (block_call_item, block_output_item,
@@ -50,22 +50,13 @@ from repro.runtime.instructions.cp import (ComputeInstruction,
 #: of potential patches is exponential in the branch count (Section 3.2)
 _MAX_DEDUP_BRANCHES = 10
 
-#: when True (default), each basic block is compiled once into a list of
-#: (instruction, handler-closure) pairs: the instruction's class and all
-#: static config decisions (lineage on/off, reuse eligibility under this
-#: interpreter's config) are resolved at bind time, so executing an
-#: instruction is a single indirect call with no isinstance ladder and no
-#: repeated flag checks.  The legacy ladder path is kept behind this flag
-#: for A/B measurement (see benchmarks/bench_hotpath.py).
-PRECOMPILED_DISPATCH = True
 
-
-def set_precompiled_dispatch(enabled: bool) -> bool:
-    """Toggle the compiled-dispatch path; returns the previous setting."""
-    global PRECOMPILED_DISPATCH
-    previous = PRECOMPILED_DISPATCH
-    PRECOMPILED_DISPATCH = bool(enabled)
-    return previous
+def _before(pre, handler):
+    """Arm one per-instruction hook: ``pre(); handler(ctx)``."""
+    def run(ctx):
+        pre()
+        handler(ctx)
+    return run
 
 
 class Interpreter:
@@ -260,10 +251,6 @@ class Interpreter:
         Subsequent executions of the block are a flat loop of indirect
         calls.
         """
-        if not PRECOMPILED_DISPATCH:
-            for inst in block.instructions:
-                self.execute_instruction(ctx, inst)
-            return
         cached = self._dispatch.get(id(block))
         if cached is None or cached[0] is not block.instructions:
             handlers = [self._compile_handler(inst)
@@ -304,27 +291,11 @@ class Interpreter:
         ``SessionCancelled`` when the budget has tripped.
         """
         handler = self._build_handler(inst)
-        site = self._exec_site
-        budget = self.budget
-        if site is None and budget is None:
-            return handler
-        if budget is None:
-            def run_with_fault(ctx):
-                site.fire()
-                handler(ctx)
-            return run_with_fault
-        tick = budget.tick
-        if site is None:
-            def run_budgeted(ctx):
-                tick()
-                handler(ctx)
-            return run_budgeted
-
-        def run_guarded(ctx):
-            tick()
-            site.fire()
-            handler(ctx)
-        return run_guarded
+        if self._exec_site is not None:
+            handler = _before(self._exec_site.fire, handler)
+        if self.budget is not None:
+            handler = _before(self.budget.tick, handler)
+        return handler
 
     def _build_handler(self, inst):
         """Specialize one instruction's execution closure.
@@ -371,9 +342,7 @@ class Interpreter:
 
         lineage = inst.lineage
         is_datagen = isinstance(inst, DataGenInstruction)
-        reuse_ok = (self.cache is not None and self.config.reuse_full
-                    and inst.reusable and not inst.unmarked
-                    and inst.opcode in self.config.reusable_opcodes)
+        reuse_ok = self._reuse_eligible(inst)
         single_out = len(inst.outputs) == 1
         full_reuse = self._execute_with_full_reuse
         multi_reuse = self._execute_multireturn_with_reuse
@@ -399,6 +368,12 @@ class Interpreter:
                 record_leftindex(ctx, inst, items)
         return run_traced
 
+    def _reuse_eligible(self, inst) -> bool:
+        """Can full reuse ever apply to ``inst`` under this config?"""
+        return (self.cache is not None and self.config.reuse_full
+                and inst.reusable and not inst.unmarked
+                and inst.opcode in self.config.reusable_opcodes)
+
     def _compile_compute_handler(self, inst):
         """Fused fast path for :class:`ComputeInstruction`.
 
@@ -409,9 +384,7 @@ class Interpreter:
         keep the generic handler (``None`` is returned), as do data-gen,
         indexing, and multi-return instructions.
         """
-        if (self.cache is not None and self.config.reuse_full
-                and inst.reusable and not inst.unmarked
-                and inst.opcode in self.config.reusable_opcodes):
+        if self._reuse_eligible(inst):
             return None
         opcode = inst.opcode
         out = inst.output
@@ -524,59 +497,6 @@ class Interpreter:
         error.located = True
         raise error from exc
 
-    def execute_instruction(self, ctx: ExecutionContext, inst) -> None:
-        """Execute one instruction, attaching source context to failures.
-
-        This is the legacy per-instruction entry point (isinstance-ladder
-        dispatch); the compiled path in :meth:`_execute_instructions` is
-        semantically identical.
-        """
-        try:
-            if self.budget is not None:
-                self.budget.tick()
-            if self._exec_site is not None:
-                self._exec_site.fire()
-            self._execute_instruction(ctx, inst)
-        except (LimaRuntimeError, ValueError, FloatingPointError,
-                ZeroDivisionError) as exc:
-            # NumPy shape/broadcast errors surface with script context
-            self._raise_located(inst, exc)
-
-    def _execute_instruction(self, ctx: ExecutionContext, inst) -> None:
-        if isinstance(inst, VariableInstruction):
-            inst.execute(ctx, None)
-            return
-        if isinstance(inst, FunctionCallInstruction):
-            self.execute_function_call(ctx, inst)
-            return
-        if isinstance(inst, EvalInstruction):
-            self.execute_eval(ctx, inst)
-            return
-
-        state = inst.preprocess(ctx)
-        if (ctx.dedup_tracker is not None
-                and isinstance(inst, DataGenInstruction)
-                and state.get("system")):
-            ctx.dedup_tracker.record_seed(state["seed"])
-
-        items = inst.lineage(ctx, state) if ctx.lineage_active else None
-
-        if self._reuse_applies(ctx, inst, items):
-            if len(inst.outputs) == 1:
-                self._execute_with_full_reuse(ctx, inst, state, items)
-            else:
-                self._execute_multireturn_with_reuse(ctx, inst, state, items)
-            return
-
-        inst.execute(ctx, state)
-        if items:
-            for name, item in items.items():
-                self._bind_lineage(ctx, name, item)
-
-        if (isinstance(inst, LeftIndexInstruction)
-                and ctx.leftindex_log is not None):
-            self._record_leftindex(ctx, inst, items)
-
     def _bind_lineage(self, ctx, name: str, item: LineageItem) -> None:
         """Bind an output's lineage, value-numbering scalars under reuse.
 
@@ -590,12 +510,6 @@ class Interpreter:
             elif isinstance(value, StringValue):
                 item = ctx.lineage.literal(value.value)
         ctx.lineage.set(name, item)
-
-    def _reuse_applies(self, ctx, inst, items) -> bool:
-        return (self.cache is not None and self.config.reuse_full
-                and items is not None and ctx.dedup_tracker is None
-                and inst.reusable and not inst.unmarked
-                and inst.opcode in self.config.reusable_opcodes)
 
     def _execute_with_full_reuse(self, ctx, inst, state, items) -> None:
         out = inst.outputs[0]
@@ -856,11 +770,6 @@ class Interpreter:
     # control flow
     # ------------------------------------------------------------------
 
-    def _execute_raw(self, ctx: ExecutionContext,
-                     block: BasicBlock) -> None:
-        """Execute a condition/sequence block without block-level reuse."""
-        self._execute_instructions(ctx, block)
-
     def _cleanup_temp(self, ctx: ExecutionContext, operand: Operand) -> None:
         if not operand.is_literal and operand.name.startswith("_t"):
             ctx.symbols.remove(operand.name)
@@ -868,7 +777,7 @@ class Interpreter:
                 ctx.lineage.remove(operand.name)
 
     def execute_if(self, ctx: ExecutionContext, block: IfBlock) -> None:
-        self._execute_raw(ctx, block.cond_block)
+        self._execute_instructions(ctx, block.cond_block)
         taken = K.as_scalar(block.pred.resolve(ctx)).as_bool()
         if ctx.dedup_tracker is not None:
             ctx.dedup_tracker.record_branch(block.branch_id, taken)
@@ -878,7 +787,7 @@ class Interpreter:
 
     def _loop_values(self, ctx: ExecutionContext,
                      block: ForBlock) -> list[float]:
-        self._execute_raw(ctx, block.seq_block)
+        self._execute_instructions(ctx, block.seq_block)
         if block.range_ops is not None:
             lo_op, hi_op, step_op = block.range_ops
             lo = K.as_scalar(lo_op.resolve(ctx)).as_int()
@@ -898,8 +807,8 @@ class Interpreter:
                 ctx.lineage.remove(block.seq_var)
         return values
 
-    def _bind_loop_var(self, ctx: ExecutionContext, var: str,
-                       value: float) -> None:
+    def bind_loop_var(self, ctx: ExecutionContext, var: str,
+                      value: float) -> None:
         scalar = int(value) if float(value).is_integer() else float(value)
         ctx.symbols.set(var, ScalarValue(scalar))
         if ctx.lineage_active:
@@ -913,147 +822,90 @@ class Interpreter:
             from repro.runtime.parfor import execute_parfor
             execute_parfor(self, ctx, block, values)
             return
-        if self._dedup_applies(ctx, block):
-            self._execute_loop_dedup(ctx, block, values)
-            return
+        tracker = self._dedup_tracker(ctx, block, block.var)
         budget = self.budget
         for value in values:
             if budget is not None:
                 budget.check()
-            self._bind_loop_var(ctx, block.var, value)
-            self.execute_blocks(ctx, block.body)
+            self.bind_loop_var(ctx, block.var, value)
+            if tracker is None:
+                self.execute_blocks(ctx, block.body)
+            else:
+                self._dedup_iteration(ctx, tracker, block)
 
     def execute_while(self, ctx: ExecutionContext,
                       block: WhileBlock) -> None:
-        if self._dedup_applies(ctx, block):
-            self._execute_while_dedup(ctx, block)
-            return
+        tracker = self._dedup_tracker(ctx, block)
         budget = self.budget
         while True:
             # loop-head budget check: guarantees a cancellation point per
             # iteration even when the condition block compiles to nothing
             if budget is not None:
                 budget.check()
-            self._execute_raw(ctx, block.cond_block)
+            self._execute_instructions(ctx, block.cond_block)
             taken = K.as_scalar(block.pred.resolve(ctx)).as_bool()
             self._cleanup_temp(ctx, block.pred)
             if not taken:
                 return
-            self.execute_blocks(ctx, block.body)
+            if tracker is None:
+                self.execute_blocks(ctx, block.body)
+            else:
+                self._dedup_iteration(ctx, tracker, block)
 
     # ------------------------------------------------------------------
     # lineage deduplication of last-level loops (Section 3.2)
     # ------------------------------------------------------------------
 
-    def _dedup_applies(self, ctx: ExecutionContext, block) -> bool:
-        return (self.config.dedup and self.config.lineage
+    def _dedup_tracker(self, ctx: ExecutionContext, block,
+                       loop_var: str | None = None) -> DedupTracker | None:
+        """The loop's dedup tracker, or None when the loop runs plain.
+
+        Trackers persist per loop block and are reused across loop
+        entries (epochs).  The loop variable needs no lineage on entry:
+        every iteration binds it before the body runs.
+        """
+        if not (self.config.dedup and self.config.lineage
                 and block.last_level
                 and block.num_branches <= _MAX_DEDUP_BRANCHES
                 and ctx.dedup_tracker is None
                 and not ctx.lineage_suppressed
                 and not ctx.in_parfor_worker
-                and not getattr(block, "parallel", False))
-
-    def _execute_loop_dedup(self, ctx: ExecutionContext, block: ForBlock,
-                            values: list[float]) -> None:
-        input_names = sorted(set(block.inputs) | {block.var})
-        if not self._dedup_inputs_available(ctx, input_names, block.var):
-            for value in values:
-                self._bind_loop_var(ctx, block.var, value)
-                self.execute_blocks(ctx, block.body)
-            return
-        tracker = self._tracker_for(block, input_names)
-        budget = self.budget
-        for value in values:
-            if budget is not None:
-                budget.check()
-            self._dedup_iteration(ctx, tracker, block, block.var, value)
-        self._bind_loop_var(ctx, block.var, values[-1])
-
-    def _execute_while_dedup(self, ctx: ExecutionContext,
-                             block: WhileBlock) -> None:
-        input_names = sorted(block.inputs)
-        if not self._dedup_inputs_available(ctx, input_names, None):
-            self.execute_while_plain(ctx, block)
-            return
-        tracker = self._tracker_for(block, input_names)
-        budget = self.budget
-        while True:
-            if budget is not None:
-                budget.check()
-            self._execute_raw(ctx, block.cond_block)
-            taken = K.as_scalar(block.pred.resolve(ctx)).as_bool()
-            self._cleanup_temp(ctx, block.pred)
-            if not taken:
-                return
-            self._dedup_iteration(ctx, tracker, block, None, None)
-
-    def execute_while_plain(self, ctx: ExecutionContext,
-                            block: WhileBlock) -> None:
-        budget = self.budget
-        while True:
-            if budget is not None:
-                budget.check()
-            self._execute_raw(ctx, block.cond_block)
-            taken = K.as_scalar(block.pred.resolve(ctx)).as_bool()
-            self._cleanup_temp(ctx, block.pred)
-            if not taken:
-                return
-            self.execute_blocks(ctx, block.body)
-
-    def _tracker_for(self, block, input_names: list[str]) -> DedupTracker:
-        """Per-loop-block tracker, reused across loop entries (epochs)."""
+                and not getattr(block, "parallel", False)):
+            return None
+        input_names = sorted(block.inputs if loop_var is None
+                             else {*block.inputs, loop_var})
+        if not all(name == loop_var or ctx.lineage.contains(name)
+                   for name in input_names):
+            return None
         tracker = self._dedup_trackers.get(id(block))
         if tracker is None or tracker.input_names != input_names:
             tracker = DedupTracker(input_names, block.num_branches)
             self._dedup_trackers[id(block)] = tracker
         return tracker
 
-    def _dedup_inputs_available(self, ctx, input_names, loop_var) -> bool:
-        return all(name == loop_var or ctx.lineage.contains(name)
-                   for name in input_names)
-
     def _dedup_iteration(self, ctx: ExecutionContext, tracker: DedupTracker,
-                         block, loop_var: str | None, value) -> None:
+                         block) -> None:
         tracker.begin_iteration()
         # capture actual input lineage before the iteration mutates anything
-        actual_inputs = []
-        for name in tracker.input_names:
-            if name == loop_var:
-                scalar = (int(value) if float(value).is_integer()
-                          else float(value))
-                actual_inputs.append(literal_item(scalar))
-            else:
-                actual_inputs.append(ctx.lineage.get(name))
-
+        actual_inputs = [ctx.lineage.get(name)
+                         for name in tracker.input_names]
         outer_lineage = ctx.lineage
         roots = None
         try:
             ctx.dedup_tracker = tracker
             if tracker.fast_mode:
                 ctx.lineage_suppressed = True
-                if loop_var is not None:
-                    ctx.symbols.set(loop_var, ScalarValue(
-                        int(value) if float(value).is_integer()
-                        else float(value)))
                 self.execute_blocks(ctx, block.body)
             else:
                 local = LineageMap()
                 for pos, name in enumerate(tracker.input_names):
                     local.set(name, tracker.placeholders[pos])
                 ctx.lineage = local
-                if loop_var is not None:
-                    ctx.symbols.set(loop_var, ScalarValue(
-                        int(value) if float(value).is_integer()
-                        else float(value)))
                 self.execute_blocks(ctx, block.body)
                 roots = {}
                 for name in self._cacheable_outputs(block):
                     item = local.get_or_none(name)
-                    if item is not None and \
-                            item not in tracker.placeholders:
-                        roots[name] = item
-                    elif item is not None:
+                    if item is not None:
                         roots[name] = item
         finally:
             ctx.lineage = outer_lineage

@@ -35,7 +35,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
-from repro.data.values import MatrixValue, ScalarValue
+from repro.data.values import MatrixValue
 from repro.errors import LimaRuntimeError, ParforError, SessionAborted
 from repro.lineage.item import LineageItem
 from repro.runtime import kernels as K
@@ -63,11 +63,7 @@ def execute_parfor(interpreter: "Interpreter", ctx: ExecutionContext,
         # context built for a retry replays the iteration bit-identically
         wctx = ctx.worker_copy(k)
         wctx.output = []  # buffered; flushed in iteration order at the end
-        value = values[k]
-        scalar = int(value) if float(value).is_integer() else float(value)
-        wctx.symbols.set(block.var, ScalarValue(scalar))
-        if wctx.lineage_active:
-            wctx.lineage.set(block.var, wctx.lineage.literal(scalar))
+        interpreter.bind_loop_var(wctx, block.var, values[k])
         return wctx
 
     budget = interpreter.budget

@@ -15,15 +15,21 @@ from repro.config import LimaConfig
 from repro.data.values import MatrixValue
 from repro.lineage import item as item_mod
 from repro.lineage.item import (LineageItem, intern_table_size,
-                                interning_enabled, literal_item,
-                                set_eager_hashing, set_interning,
-                                structural_eq_calls, traced_item)
+                                literal_item, structural_eq_calls,
+                                traced_item)
 from repro.lineage.serialize import deserialize, serialize
 from repro.reuse.cache import LineageCache
 
 
 def leaf(tag):
     return LineageItem("input", (), tag)
+
+
+def clone(item):
+    """Deep non-interned copy: ``hash_override`` items (the dedup/dout
+    clones built by ``resolve()``) are the only ones outside the table."""
+    return LineageItem(item.opcode, [clone(i) for i in item.inputs],
+                       item.data, hash_override=hash(item))
 
 
 class TestIdentity:
@@ -65,29 +71,15 @@ class TestIdentity:
         assert a is not b
         assert LineageItem("t", [x]) is not a
 
-    def test_disabled_interning_falls_back_to_equality(self):
-        previous = set_interning(False)
-        try:
-            a1 = LineageItem("mm", [leaf("p"), leaf("q")])
-            a2 = LineageItem("mm", [leaf("p"), leaf("q")])
-            assert a1 is not a2
-            assert a1 == a2
-            assert hash(a1) == hash(a2)
-        finally:
-            set_interning(previous)
-        assert interning_enabled()
-
-    def test_eager_hashing_toggle_preserves_hashes(self):
-        previous = set_eager_hashing(True)
-        try:
-            eager = LineageItem("mm", [leaf("eh1"), leaf("eh2")])
-        finally:
-            set_eager_hashing(previous)
-        lazy = LineageItem("mm", [leaf("eh1b"), leaf("eh2b")])
-        ref1 = LineageItem("mm", [leaf("eh1"), leaf("eh2")])
-        ref2 = LineageItem("mm", [leaf("eh1b"), leaf("eh2b")])
-        assert hash(eager) == hash(ref1)
-        assert hash(lazy) == hash(ref2)
+    def test_non_interned_items_fall_back_to_equality(self):
+        original = LineageItem("mm", [leaf("p"), leaf("q")])
+        a1, a2 = clone(original), clone(original)
+        assert a1 is not a2
+        assert a1.inputs[0] is not a2.inputs[0]
+        assert a1 == a2
+        assert a1 == original
+        assert hash(a1) == hash(a2) == hash(original)
+        assert a1 != clone(LineageItem("mm", [leaf("q"), leaf("p")]))
 
 
 class TestNoLeak:
@@ -125,7 +117,7 @@ class TestRoundTrips:
 
 class TestProbesAreIdentityBased:
     def _cache(self):
-        cfg = LimaConfig.hybrid().with_(cache_budget=1 << 20)
+        cfg = LimaConfig.hybrid().with_(memory_budget=1 << 20)
         return LineageCache(cfg)
 
     def test_cache_hit_without_structural_walk(self):
@@ -141,12 +133,8 @@ class TestProbesAreIdentityBased:
     def test_structural_walk_counter_still_counts(self):
         # the counter itself must work, or the zero assertion above is
         # vacuous: non-interned equal items go through the walk
-        previous = set_interning(False)
-        try:
-            a1 = LineageItem("tsmm", [LineageItem("input", (), "sw")])
-            a2 = LineageItem("tsmm", [LineageItem("input", (), "sw")])
-        finally:
-            set_interning(previous)
+        original = LineageItem("tsmm", [leaf("sw")])
+        a1, a2 = clone(original), clone(original)
         before = structural_eq_calls()
         assert a1 == a2
         assert structural_eq_calls() == before + 1

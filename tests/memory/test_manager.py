@@ -66,26 +66,9 @@ class TestChargeLedger:
 
 
 class TestBudgetResolution:
-    def test_memory_budget_wins_silently(self):
+    def test_explicit_memory_budget(self):
         cfg = LimaConfig.hybrid().with_(memory_budget=7 * MB)
         assert cfg.resolved_memory_budget() == 7 * MB
-
-    def test_deprecated_cache_budget_warns(self):
-        cfg = LimaConfig.hybrid().with_(cache_budget=3 * MB)
-        with pytest.warns(DeprecationWarning):
-            assert cfg.resolved_memory_budget() == 3 * MB
-
-    def test_deprecated_aliases_sum_into_one_budget(self):
-        cfg = LimaConfig.hybrid().with_(cache_budget=3 * MB,
-                                        buffer_pool_budget=2 * MB)
-        with pytest.warns(DeprecationWarning):
-            assert cfg.resolved_memory_budget() == 5 * MB
-
-    def test_pool_budget_without_reuse(self):
-        cfg = LimaConfig.base().with_(buffer_pool_budget=2 * MB)
-        with pytest.warns(DeprecationWarning):
-            assert cfg.resolved_memory_budget() == 2 * MB
-        assert cfg.buffer_pool_enabled
 
     def test_memory_budget_enables_pool(self):
         assert LimaConfig.base().with_(memory_budget=MB).buffer_pool_enabled

@@ -20,7 +20,7 @@ def mat(kb=1):
 
 
 def make_cache(budget=1 << 20, policy="costsize", spill=False):
-    cfg = LimaConfig.hybrid().with_(cache_budget=budget,
+    cfg = LimaConfig.hybrid().with_(memory_budget=budget,
                                     eviction_policy=policy, spill=spill)
     return LineageCache(cfg)
 
@@ -211,7 +211,7 @@ class TestEviction:
 class TestSpilling:
     def test_spill_and_restore_roundtrip(self, tmp_path):
         cfg = LimaConfig.hybrid().with_(
-            cache_budget=2 * 1024, spill=True, spill_dir=str(tmp_path),
+            memory_budget=2 * 1024, spill=True, spill_dir=str(tmp_path),
             disk_bandwidth=1e12)
         cache = LineageCache(cfg)
         k = key("big")
@@ -230,7 +230,7 @@ class TestSpilling:
 
     def test_never_probed_entries_deleted_not_spilled(self, tmp_path):
         cfg = LimaConfig.hybrid().with_(
-            cache_budget=2 * 1024, spill=True, spill_dir=str(tmp_path))
+            memory_budget=2 * 1024, spill=True, spill_dir=str(tmp_path))
         cache = LineageCache(cfg)
         cache.put(key("dead"), mat(1), None, 100.0)
         for i in range(4):

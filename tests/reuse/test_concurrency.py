@@ -23,7 +23,7 @@ def key(tag):
 
 class TestCacheStress:
     def test_many_threads_same_keys(self):
-        cache = LineageCache(C.hybrid().with_(cache_budget=1 << 24,
+        cache = LineageCache(C.hybrid().with_(memory_budget=1 << 24,
                                               spill=False))
         n_keys, n_threads, per_thread = 12, 8, 60
         errors = []
@@ -57,7 +57,7 @@ class TestCacheStress:
     def test_eviction_under_concurrency(self):
         # budget fits only a handful of entries: concurrent put/probe with
         # constant eviction must neither corrupt values nor deadlock
-        cache = LineageCache(C.hybrid().with_(cache_budget=6 * 64 * 64 * 8,
+        cache = LineageCache(C.hybrid().with_(memory_budget=6 * 64 * 64 * 8,
                                               spill=False))
         stop = threading.Event()
         errors = []

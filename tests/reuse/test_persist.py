@@ -97,6 +97,6 @@ class TestSaveLoad:
         producer.run("G = t(X) %*% X; H = X %*% G;",
                      inputs={"X": small_x})
         save_cache(producer.cache, archive)
-        tiny = LineageCache(LimaConfig.hybrid().with_(cache_budget=128))
+        tiny = LineageCache(LimaConfig.hybrid().with_(memory_budget=128))
         load_cache(tiny, archive)
         assert tiny.total_size <= 128

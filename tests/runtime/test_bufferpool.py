@@ -88,7 +88,7 @@ class TestEndToEnd:
         x = rng.standard_normal((256, 512))  # 1 MiB
         base = LimaSession(LimaConfig.base()).run(
             self.SCRIPT, inputs={"X": x}, seed=5).get("out")
-        cfg = LimaConfig.base().with_(buffer_pool_budget=2 * MB)
+        cfg = LimaConfig.base().with_(memory_budget=2 * MB)
         sess = LimaSession(cfg)
         pooled = sess.run(self.SCRIPT, inputs={"X": x}, seed=5).get("out")
         assert pooled == base
@@ -97,14 +97,14 @@ class TestEndToEnd:
         x = rng.standard_normal((256, 512))
         base = LimaSession(LimaConfig.base()).run(
             self.SCRIPT, inputs={"X": x}, seed=5).get("out")
-        cfg = LimaConfig.hybrid().with_(buffer_pool_budget=2 * MB)
+        cfg = LimaConfig.hybrid().with_(memory_budget=2 * MB)
         sess = LimaSession(cfg)
         got = sess.run(self.SCRIPT, inputs={"X": x}, seed=5).get("out")
         assert got == base
 
     def test_pool_actually_spills_in_script(self, rng):
         x = rng.standard_normal((512, 512))  # 2 MiB
-        cfg = LimaConfig.base().with_(buffer_pool_budget=3 * MB)
+        cfg = LimaConfig.base().with_(memory_budget=3 * MB)
         sess = LimaSession(cfg)
         script = """
         A = X * 1; B = X * 2; C = X * 3; D = X * 4;

@@ -16,7 +16,7 @@ class TestPresets:
 
     def test_ltp_probes_with_zero_budget(self):
         cfg = LimaConfig.ltp()
-        assert cfg.reuse_full and cfg.cache_budget == 0
+        assert cfg.reuse_full and cfg.memory_budget == 0
 
     def test_ltd_dedups(self):
         assert LimaConfig.ltd().dedup
@@ -45,10 +45,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             LimaConfig(eviction_policy="fifo").validate()
 
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            LimaConfig(cache_budget=-1).validate()
-
     def test_presets_validate(self):
         for preset in (LimaConfig.base, LimaConfig.lt, LimaConfig.ltp,
                        LimaConfig.ltd, LimaConfig.full,
@@ -57,12 +53,23 @@ class TestValidation:
             preset().validate()
 
 
+class TestMemoryBudget:
+    def test_unset_budget_defaults(self):
+        # memory_budget=None: 256 MiB for the cache when reuse is on,
+        # nothing otherwise, and never a live-variable buffer pool
+        assert LimaConfig.hybrid().memory_budget is None
+        assert LimaConfig.hybrid().resolved_memory_budget() == 256 << 20
+        assert LimaConfig.base().resolved_memory_budget() == 0
+        assert not LimaConfig.hybrid().buffer_pool_enabled
+        assert not LimaConfig.base().buffer_pool_enabled
+
+
 class TestWith:
     def test_with_returns_modified_copy(self):
         cfg = LimaConfig.hybrid()
-        other = cfg.with_(cache_budget=1)
-        assert other.cache_budget == 1
-        assert cfg.cache_budget != 1
+        other = cfg.with_(memory_budget=1)
+        assert other.memory_budget == 1
+        assert cfg.memory_budget != 1
         assert other.reuse_partial
 
 

@@ -45,7 +45,7 @@ class TestMultiReturnReusePartialHit:
     def test_one_output_evicted_recomputes_both(self, small_x):
         """If only some outputs of eigen are cached, the instruction
         re-executes and re-admits all of them."""
-        cfg = LimaConfig.full().with_(cache_budget=1 << 30)
+        cfg = LimaConfig.full().with_(memory_budget=1 << 30)
         sess = LimaSession(cfg)
         sess.run("C = t(X) %*% X; [v, e] = eigen(C);",
                  inputs={"X": small_x})

@@ -22,7 +22,7 @@ CONFIGS = {
     "fusion": LimaConfig.hybrid().with_(fusion=True),
     "lru": LimaConfig.hybrid().with_(eviction_policy="lru"),
     "dagheight": LimaConfig.hybrid().with_(eviction_policy="dagheight"),
-    "tiny-cache": LimaConfig.hybrid().with_(cache_budget=64 * 1024),
+    "tiny-cache": LimaConfig.hybrid().with_(memory_budget=64 * 1024),
 }
 
 SCRIPTS = {
@@ -89,7 +89,7 @@ def test_config_matches_base(cname, sname, data, references):
 def test_repeated_runs_reuse_and_match(data):
     """Running the same pipeline repeatedly must stay correct as the cache
     fills, evicts, and hits across invocations."""
-    sess = LimaSession(LimaConfig.hybrid().with_(cache_budget=128 * 1024))
+    sess = LimaSession(LimaConfig.hybrid().with_(memory_budget=128 * 1024))
     results = [sess.run(SCRIPTS["lm-sweep"], inputs=data, seed=99).get("out")
                for _ in range(4)]
     for later in results[1:]:

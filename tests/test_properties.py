@@ -210,7 +210,7 @@ class TestCacheProperties:
     @settings(max_examples=40, deadline=None)
     def test_budget_never_exceeded(self, puts, policy):
         budget = 4096
-        cfg = LimaConfig.hybrid().with_(cache_budget=budget, spill=False,
+        cfg = LimaConfig.hybrid().with_(memory_budget=budget, spill=False,
                                         eviction_policy=policy)
         cache = LineageCache(cfg)
         for tag, kb, cost in puts:
