@@ -42,8 +42,8 @@ from repro.runtime.instructions.cp import (ComputeInstruction,
                                            PrintInstruction, ReadInstruction,
                                            StopInstruction, StopIfInstruction,
                                            VariableInstruction,
-                                           WriteInstruction,
-                                           is_compute_opcode)
+                                           WriteInstruction)
+from repro.runtime.ops import MULTI, OPS
 
 _REQUIRED = object()
 
@@ -271,8 +271,9 @@ class _Compiler:
 
     def _compile_multi_assign(self, stmt: ast.MultiAssign, out: list) -> None:
         call = stmt.call
-        if call.name in ("eigen", "svd"):
-            expected = 2 if call.name == "eigen" else 3
+        row = OPS.get(call.name)
+        if row is not None and row.kind == MULTI:
+            expected = row.returns
             if len(stmt.targets) != expected:
                 raise LimaCompileError(
                     f"{call.name} returns {expected} outputs, "
@@ -808,10 +809,6 @@ def _is_last_level(blocks: list[ProgramBlock]) -> bool:
     return True
 
 
-#: opcodes considered compute-heavy for block-level reuse candidacy
-_HEAVY_OPCODES = frozenset({"mm", "tsmm", "solve", "eigen", "svd", "inv"})
-
-
 def _mark_reuse_candidates(program: Program) -> None:
     """Flag basic blocks that are worth block-level reuse probing.
 
@@ -826,7 +823,7 @@ def _mark_reuse_candidates(program: Program) -> None:
         compute = [inst for inst in block.instructions
                    if isinstance(inst, (ComputeInstruction,
                                         MultiReturnInstruction))]
-        heavy = any(inst.opcode in _HEAVY_OPCODES for inst in compute)
+        heavy = any(inst.row.heavy for inst in compute)
         unsafe = any(isinstance(inst, (FunctionCallInstruction,
                                        EvalInstruction, ReadInstruction,
                                        WriteInstruction, PrintInstruction,

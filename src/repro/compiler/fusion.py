@@ -14,12 +14,8 @@ from repro.compiler.liveness import loop_carried_vars
 from repro.compiler.program import (BasicBlock, ForBlock, IfBlock,
                                     ProgramBlock, WhileBlock)
 from repro.runtime.instructions.base import Operand
-from repro.runtime.instructions.cp import (ComputeInstruction, _BINARY_OPS,
-                                           _UNARY_OPS)
+from repro.runtime.instructions.cp import ComputeInstruction
 from repro.runtime.instructions.fused import FusedInstruction
-
-#: opcodes that may participate in a fused cell-wise template
-FUSABLE = frozenset(_BINARY_OPS) | frozenset(_UNARY_OPS)
 
 
 def fuse_program_blocks(blocks: list[ProgramBlock],
@@ -80,7 +76,7 @@ def fuse_block(instructions: list,
         # string-literal "+" is concatenation, not an elementwise add:
         # fusing it would embed the string into a numeric template
         return (isinstance(inst, ComputeInstruction)
-                and inst.opcode in FUSABLE
+                and inst.row.elementwise
                 and not any(op.is_literal and isinstance(op.value, str)
                             for op in inst.operands))
 

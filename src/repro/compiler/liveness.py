@@ -103,31 +103,15 @@ def loop_carried_vars(body: list[ProgramBlock]) -> set[str]:
     return uses & defs
 
 
-#: elementwise compute opcodes with an in-place kernel variant
-#: (:func:`repro.runtime.kernels.binary_into` / ``unary_into``)
-_INPLACE_CONSUMERS = frozenset({
-    "+", "-", "*", "/", "^", "%%", "min2", "max2",
-    "exp", "log", "sqrt", "abs", "round", "floor", "ceil", "sign",
-})
-
-#: opcodes whose kernels always bind a freshly allocated value — never an
-#: alias of an input object — so their single-use temp outputs can be
-#: overwritten.  Aliasing producers (``as.matrix``, scalar-condition
-#: ``ifelse``, variable ops) are deliberately absent.
-_FRESH_PRODUCERS = frozenset({
-    "+", "-", "*", "/", "^", "%%", "%/%", "min2", "max2",
-    "exp", "log", "sqrt", "abs", "round", "floor", "ceil", "sign",
-    "sigmoid",
-    "mm", "tsmm", "t", "rev", "solve", "inv", "cbind", "rbind", "diag",
-})
-
-
 def mark_inplace(block: BasicBlock, protected: set[str]) -> None:
     """Mark operand slots eligible for in-place elementwise execution.
 
-    A slot qualifies when the operand is a compiler temporary (``_t*``)
-    that is (a) produced earlier in the same basic block by an instruction
-    guaranteed to bind a fresh value, (b) used exactly once in the block —
+    The consumer's opcode row needs an ``inplace`` ufunc.  A slot
+    qualifies when the operand is a compiler temporary (``_t*``) that is
+    (a) produced earlier in the same basic block by an instruction
+    guaranteed to bind a fresh value (a ``fresh`` row or data generation;
+    aliasing producers such as ``as.matrix`` or scalar-condition
+    ``ifelse`` are not fresh), (b) used exactly once in the block —
     by this instruction — and (c) not protected (kept alive for the
     enclosing control block).  Such a temporary dies at this instruction,
     so the kernel may overwrite its buffer instead of allocating.  The
@@ -146,8 +130,7 @@ def mark_inplace(block: BasicBlock, protected: set[str]) -> None:
             use_count[name] = use_count.get(name, 0) + 1
         for name in inst.outputs:
             def_count[name] = def_count.get(name, 0) + 1
-        fresh = (isinstance(inst, ComputeInstruction)
-                 and inst.opcode in _FRESH_PRODUCERS) \
+        fresh = (isinstance(inst, ComputeInstruction) and inst.row.fresh) \
             or isinstance(inst, DataGenInstruction)
         if fresh:
             for name in inst.outputs:
@@ -155,7 +138,7 @@ def mark_inplace(block: BasicBlock, protected: set[str]) -> None:
 
     for pos, inst in enumerate(block.instructions):
         if not isinstance(inst, ComputeInstruction) \
-                or inst.opcode not in _INPLACE_CONSUMERS:
+                or inst.row.inplace is None:
             continue
         slots = []
         for slot, op in enumerate(inst.operands):

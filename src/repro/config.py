@@ -25,26 +25,7 @@ Preset          Meaning in the paper
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-#: Opcodes whose outputs qualify for caching.  Mirrors the configurable set
-#: of reusable instruction opcodes in the paper (Section 4.1).  Cheap
-#: metadata ops (nrow, ncol, assignments) are deliberately excluded to avoid
-#: cache pollution.
-DEFAULT_REUSABLE_OPCODES = frozenset({
-    "mm", "tsmm", "solve", "eigen", "svd", "inv",
-    "cbind", "rbind", "t", "rev",
-    "+", "-", "*", "/", "^", "%%", "min2", "max2",
-    "==", "!=", "<", ">", "<=", ">=", "&", "|",
-    "exp", "log", "sqrt", "abs", "round", "floor", "ceil", "sign", "!",
-    "sigmoid",
-    "sum", "mean", "colSums", "rowSums", "colMeans", "rowMeans",
-    "colMins", "colMaxs", "rowMins", "rowMaxs", "colVars", "colSds",
-    "min", "max", "var", "sd", "trace",
-    "rightIndex", "diag", "table", "order", "cumsum", "rowIndexMax",
-    "matrix", "replace", "fused",
-    "recodeEncode", "binEncode", "oneHotEncode",
-})
+from dataclasses import dataclass, replace
 
 #: cache budget when ``memory_budget`` is unset and reuse is on (the paper
 #: defaults to 5% of heap; 256 MiB plays that role on a laptop-scale build)
@@ -85,9 +66,6 @@ class LimaConfig:
     spill: bool = True
     #: directory for spill files (None = a per-manager temp directory)
     spill_dir: str | None = None
-    #: opcodes that qualify for caching
-    reusable_opcodes: frozenset[str] = field(
-        default_factory=lambda: DEFAULT_REUSABLE_OPCODES)
     #: number of parfor worker threads (None = os.cpu_count())
     parfor_workers: int | None = None
     #: assumed disk bandwidth (bytes/s) seeding the adaptive I/O estimate

@@ -182,7 +182,8 @@ def values_equal(a, b, exact: bool) -> bool:
                 and len(a) == len(b)
                 and all(values_equal(x, y, exact) for x, y in zip(a, b)))
     aa, bb = np.asarray(a), np.asarray(b)
-    if aa.shape != bb.shape:
+    # a boolean never equals a number, not even within tolerance
+    if aa.shape != bb.shape or (aa.dtype == bool) != (bb.dtype == bool):
         return False
     if exact:
         return aa.dtype == bb.dtype and aa.tobytes() == bb.tobytes()

@@ -339,6 +339,21 @@ class ProgramGenerator:
     def _stmt_print(self, env: dict, body: list) -> None:
         body.append(Raw(f'print("p" + {self.scalar_expr(env, 1)});'))
 
+    def _stmt_compare(self, env: dict, body: list) -> None:
+        """A scalar comparison over an elementwise chain, printed.  Fusion
+        folds the chain into one template rooted in the comparison, whose
+        result must stay a boolean (``TRUE``/``FALSE``) as unfused.  The
+        boolean stays out of ``env``: base cannot subtract two booleans."""
+        a, b = self.scalar_expr(env, 1), self.scalar_expr(env, 1)
+        op = self.rng.choice(["+", "-", "*"])
+        test = self.rng.choice([">", "<", ">=", "<=", "==", "!="])
+        expr = f"({a} {op} {b}) {test} {round(self.rng.uniform(-1, 1), 2)}"
+        if self.rng.random() < 0.3:
+            expr = f"!({expr})"
+        name = self._fresh("c")
+        body.append(Raw(f"{name} = {expr};"))
+        body.append(Raw(f"print({name});"))
+
     def _stmt_if(self, env: dict, body: list, depth: int) -> None:
         """Both branches assign the same targets with the same shapes."""
         shape = (self._dim(), self._dim())
@@ -474,6 +489,7 @@ class ProgramGenerator:
             (self._stmt_solve, 4),
             (self._stmt_multiassign, 4),
             (self._stmt_print, 4),
+            (self._stmt_compare, 4),
             (self._stmt_funcdef_and_call, 6),
         ]
         blocks = [

@@ -24,18 +24,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.values import MatrixValue, wrap
 from repro.errors import LineageError
 from repro.lineage.item import LineageItem, parse_literal
+from repro.lineage.reconstruct import topological_order
+from repro.runtime.ops import MULTI, OPS
 
-def _forward(root: LineageItem, inputs: dict[str, np.ndarray]) \
+
+def _forward(order: list[LineageItem], inputs: dict[str, np.ndarray]) \
         -> dict[int, np.ndarray | float]:
     """Evaluate every item of the DAG; returns values by item identity.
 
-    The forward pass mirrors the reconstruction kernels but keeps *all*
-    intermediate values (the backward pass needs them as local contexts).
+    The forward pass runs the opcode table's kernels, as reconstruction
+    does, but keeps *all* intermediate values (the backward pass needs
+    them as local contexts).
     """
     values: dict[int, np.ndarray | float] = {}
-    order = _topological(root)
     for item in order:
         if item.opcode in ("L", "SL"):
             values[id(item)] = parse_literal(item.data)
@@ -47,70 +51,17 @@ def _forward(root: LineageItem, inputs: dict[str, np.ndarray]) \
             values[id(item)] = np.asarray(inputs[name], dtype=np.float64)
             continue
         args = [values[id(child)] for child in item.inputs]
-        values[id(item)] = _eval_op(item, args)
+        if item.opcode == "rightIndex":
+            values[id(item)] = _index_value(item, args)
+            continue
+        row = OPS.get(item.opcode)
+        if row is None or row.kind == MULTI:
+            raise LineageError(
+                f"autodiff does not support opcode {item.opcode!r}")
+        out = row.kernel(*[wrap(arg) for arg in args])
+        values[id(item)] = (out.data if isinstance(out, MatrixValue)
+                            else out.value)
     return values
-
-
-def _eval_op(item: LineageItem, args: list):
-    a = [np.asarray(x, dtype=np.float64) if not np.isscalar(x) else x
-         for x in args]
-    op = item.opcode
-    if op in ("+", "-", "*", "/", "^", "min2", "max2"):
-        fn = {"+": np.add, "-": np.subtract, "*": np.multiply,
-              "/": np.divide, "^": np.power,
-              "min2": np.minimum, "max2": np.maximum}[op]
-        return fn(a[0], a[1])
-    if op == "exp":
-        return np.exp(a[0])
-    if op == "log":
-        return np.log(a[0])
-    if op == "sqrt":
-        return np.sqrt(a[0])
-    if op == "abs":
-        return np.abs(a[0])
-    if op == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-a[0]))
-    if op == "mm":
-        return a[0] @ a[1]
-    if op == "tsmm":
-        return a[0].T @ a[0]
-    if op == "t":
-        return np.asarray(a[0]).T.copy()
-    if op == "cbind":
-        return np.hstack([np.atleast_2d(x) for x in a])
-    if op == "rbind":
-        return np.vstack([np.atleast_2d(x) for x in a])
-    if op == "rightIndex":
-        return _index_value(item, a)
-    if op == "sum":
-        return float(np.sum(a[0]))
-    if op == "mean":
-        return float(np.mean(a[0]))
-    if op == "colSums":
-        return np.atleast_2d(a[0]).sum(axis=0, keepdims=True)
-    if op == "rowSums":
-        return np.atleast_2d(a[0]).sum(axis=1, keepdims=True)
-    if op == "trace":
-        return float(np.trace(a[0]))
-    if op == "diag":
-        m = np.atleast_2d(a[0])
-        if min(m.shape) == 1:
-            return np.diag(m.ravel())
-        return np.diag(m).reshape(-1, 1).copy()
-    if op == "solve":
-        return np.linalg.solve(a[0], a[1])
-    if op == "matrix":
-        value, rows, cols = a
-        rows, cols = int(rows), int(cols)
-        if np.isscalar(value) or np.asarray(value).size == 1:
-            return np.full((rows, cols), float(np.asarray(value).ravel()[0]))
-        return np.asarray(value).reshape(rows, cols)
-    if op == "nrow":
-        return float(np.atleast_2d(a[0]).shape[0])
-    if op == "ncol":
-        return float(np.atleast_2d(a[0]).shape[1])
-    raise LineageError(
-        f"autodiff does not support opcode {op!r}")
 
 
 def _index_bounds(item: LineageItem, args: list,
@@ -145,26 +96,6 @@ def _index_value(item: LineageItem, args: list):
     return target[rows, cols].copy()
 
 
-def _topological(root: LineageItem) -> list[LineageItem]:
-    order: list[LineageItem] = []
-    seen: set[int] = set()
-    stack: list[tuple[LineageItem, bool]] = [(root.resolve(), False)]
-    while stack:
-        item, expanded = stack.pop()
-        if expanded:
-            if id(item) not in seen:
-                seen.add(id(item))
-                order.append(item)
-            continue
-        if id(item) in seen:
-            continue
-        stack.append((item, True))
-        for child in item.inputs:
-            if id(child) not in seen:
-                stack.append((child, False))
-    return order
-
-
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray | float:
     """Sum a gradient back down to the shape of the broadcast operand."""
     if np.isscalar(shape) or shape == ():
@@ -188,12 +119,12 @@ def gradient(root: LineageItem, inputs: dict[str, np.ndarray],
     """
     targets = [wrt] if isinstance(wrt, str) else list(wrt)
     root = root.resolve()
-    values = _forward(root, inputs)
+    order = topological_order(root)
+    values = _forward(order, inputs)
     if not np.isscalar(values[id(root)]) \
             and np.asarray(values[id(root)]).size != 1:
         raise LineageError("gradient requires a scalar-valued root")
 
-    order = _topological(root)
     adjoints: dict[int, np.ndarray | float] = {id(root): 1.0}
 
     def shape_of(item):

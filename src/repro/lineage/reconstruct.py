@@ -21,10 +21,8 @@ from repro.runtime.instructions.cp import (ComputeInstruction,
                                            LeftIndexInstruction,
                                            ListInstruction,
                                            MultiReturnInstruction,
-                                           ReadInstruction,
-                                           is_compute_opcode)
-
-_MR_ARITY = {"eigen": 2, "svd": 3}
+                                           ReadInstruction)
+from repro.runtime.ops import MULTI, OPS
 
 
 def reconstruct_program(root: LineageItem):
@@ -36,7 +34,7 @@ def reconstruct_program(root: LineageItem):
     """
     from repro.compiler.program import BasicBlock, Program
     root = root.resolve()
-    order = _topological(root)
+    order = topological_order(root)
     instructions = []
     var_of: dict[int, Operand] = {}
     bindings: dict[str, str] = {}
@@ -68,18 +66,19 @@ def reconstruct_program(root: LineageItem):
             parent = item.inputs[0]
             outs = mr_emitted.get(id(parent))
             if outs is None:
-                arity = _MR_ARITY.get(parent.opcode)
-                if arity is None:
+                row = OPS.get(parent.opcode)
+                if row is None or row.kind != MULTI:
                     raise LineageError(
                         f"mrout under unknown builtin {parent.opcode!r}")
-                outs = [new_var() for _ in range(arity)]
+                outs = [new_var() for _ in range(row.returns)]
                 operand = var_of[id(parent.inputs[0])]
                 instructions.append(
                     MultiReturnInstruction(parent.opcode, operand, outs))
                 mr_emitted[id(parent)] = outs
             var_of[id(item)] = Operand.var(outs[int(item.data)])
             continue
-        if item.opcode in _MR_ARITY:
+        row = OPS.get(item.opcode)
+        if row is not None and row.kind == MULTI:
             continue  # materialized via its mrout consumers
         operands = [var_of[id(inp)] for inp in item.inputs]
         out = new_var()
@@ -101,7 +100,7 @@ def reconstruct_program(root: LineageItem):
             if len(names) != len(operands):
                 names = [None] * len(operands)
             instructions.append(ListInstruction(operands, names, out))
-        elif is_compute_opcode(item.opcode):
+        elif row is not None:
             instructions.append(ComputeInstruction(item.opcode, operands,
                                                    out))
         else:
@@ -145,7 +144,8 @@ def _decode_specs(data: str, operands: list[Operand]):
     return obj, specs
 
 
-def _topological(root: LineageItem) -> list[LineageItem]:
+def topological_order(root: LineageItem) -> list[LineageItem]:
+    """Items of the DAG under ``root``, every input before its consumer."""
     order: list[LineageItem] = []
     seen: set[int] = set()
     stack: list[tuple[LineageItem, bool]] = [(root, False)]

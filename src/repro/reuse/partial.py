@@ -42,6 +42,7 @@ import numpy as np
 from repro.data.values import MatrixValue, Value
 from repro.lineage.item import LineageItem, parse_literal
 from repro.reuse.cache import LineageCache
+from repro.runtime.ops import OPS
 
 _EW_OPS = ("+", "-", "*", "/", "min2", "max2")
 _COL_AGGS = ("colSums", "colMeans", "colMins", "colMaxs")
@@ -245,8 +246,7 @@ def _rw_ew(item, values, cache, combiner: str, axis: int):
     k = cached.shape[axis]
     if k >= lv.shape[axis] or lv.shape != rv.shape:
         return None
-    from repro.runtime.kernels import _BINARY_NUMERIC
-    fn = _BINARY_NUMERIC[item.opcode]
+    fn = OPS[item.opcode].fn
     if axis == 1:
         rest = fn(lv[:, k:], rv[:, k:])
         return np.hstack([cached, rest])
@@ -268,8 +268,7 @@ def rw_colagg_cbind(item, values, cache):
     k = cached.shape[1]
     if composed is None or k >= composed.shape[1]:
         return None
-    from repro.runtime.kernels import aggregate
-    rest = aggregate(item.opcode, MatrixValue(composed[:, k:])).data
+    rest = OPS[item.opcode].kernel(MatrixValue(composed[:, k:])).data
     return np.hstack([cached, rest])
 
 
@@ -287,8 +286,7 @@ def rw_rowagg_rbind(item, values, cache):
     m = cached.shape[0]
     if composed is None or m >= composed.shape[0]:
         return None
-    from repro.runtime.kernels import aggregate
-    rest = aggregate(item.opcode, MatrixValue(composed[m:])).data
+    rest = OPS[item.opcode].kernel(MatrixValue(composed[m:])).data
     return np.vstack([cached, rest])
 
 

@@ -1,15 +1,16 @@
 """Concrete CP (single-node) instruction classes.
 
 The bulk of the instruction set is covered by :class:`ComputeInstruction`,
-a thin wrapper dispatching by opcode into :mod:`repro.runtime.kernels`.
-Instructions with special semantics get their own classes: data generation
-(seeded), indexing (spec-shaped lineage), multi-return builtins, function
-calls, ``eval``, variable management, I/O, and ``print``/``stop``.
+a thin wrapper around the kernel its row in the opcode table
+(:mod:`repro.runtime.ops`) binds.  Instructions with special semantics get
+their own classes: data generation (seeded), indexing (spec-shaped
+lineage), multi-return builtins, function calls, ``eval``, variable
+management, I/O, and ``print``/``stop``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,115 +20,24 @@ from repro.errors import LimaRuntimeError
 from repro.lineage.item import LineageItem, literal_item
 from repro.runtime import kernels as K
 from repro.runtime.instructions.base import Instruction, Operand
+from repro.runtime.ops import MULTI, lookup
 
 if TYPE_CHECKING:
     from repro.runtime.context import ExecutionContext
-
-_BINARY_OPS = frozenset({
-    "+", "-", "*", "/", "^", "%%", "%/%", "min2", "max2",
-    "==", "!=", "<", ">", "<=", ">=", "&", "|",
-})
-_UNARY_OPS = frozenset({
-    "exp", "log", "sqrt", "abs", "round", "floor", "ceil", "sign", "!",
-    "sigmoid",
-})
-_AGG_OPS = frozenset({
-    "sum", "mean", "min", "max", "var", "sd", "trace",
-    "colSums", "rowSums", "colMeans", "rowMeans",
-    "colMins", "colMaxs", "rowMins", "rowMaxs", "colVars", "colSds",
-    "rowIndexMax", "cumsum",
-})
-
-
-def _list_append(lst: Value, name: Value, value: Value) -> ListValue:
-    """``lappend(l, name, v)`` — append a named element to a list.
-
-    Used by ``gridSearch`` to build ``eval`` argument lists with
-    runtime-determined parameter names.
-    """
-    if not isinstance(lst, ListValue):
-        raise LimaRuntimeError("lappend() requires a list as first argument")
-    if not isinstance(name, StringValue):
-        raise LimaRuntimeError("lappend() requires a string element name")
-    names = list(lst.names) if lst.names is not None \
-        else [""] * len(lst.items)
-    return ListValue(lst.items + [value], names + [name.value])
-
-
-def _matrix_kernel(value: Value, rows: ScalarValue,
-                   cols: ScalarValue) -> MatrixValue:
-    """``matrix(x, rows, cols)``: fill from a scalar, reshape a matrix."""
-    if isinstance(value, ScalarValue):
-        return K.fill(value.as_float(), rows.as_int(), cols.as_int())
-    return K.reshape(value, rows.as_int(), cols.as_int())
-
-
-_SPECIAL: dict[str, Callable[..., Value]] = {
-    "mm": K.matmult,
-    "tsmm": K.tsmm,
-    "solve": K.solve,
-    "inv": K.inv,
-    "t": K.transpose,
-    "rev": K.rev,
-    "diag": K.diag,
-    "cbind": K.cbind,
-    "rbind": K.rbind,
-    "table": K.table,
-    "order": lambda t, by, dec, ir: K.order(
-        t, by.as_int(), dec.as_bool(), ir.as_bool()),
-    "replace": lambda t, p, r: K.replace(t, p.as_float(), r.as_float()),
-    # a zero step is the compiler's sentinel for "auto" (+1 or -1)
-    "seq": lambda f, t, b: K.seq(
-        f.as_float(), t.as_float(),
-        b.as_float() if b.as_float() != 0 else None),
-    "matrix": _matrix_kernel,
-    "as.scalar": K.as_scalar,
-    "as.matrix": K.as_matrix,
-    "as.integer": lambda v: ScalarValue(int(K.as_scalar(v).as_float())),
-    "as.double": lambda v: ScalarValue(float(K.as_scalar(v).as_float())),
-    "as.logical": lambda v: ScalarValue(bool(K.as_scalar(v).as_float())),
-    "lappend": lambda l, n, v: _list_append(l, n, v),
-    "recodeEncode": K.recode_encode,
-    "binEncode": lambda t, b: K.bin_encode(t, b.as_int()),
-    "oneHotEncode": K.one_hot_encode,
-    "nrow": K.nrow,
-    "ncol": K.ncol,
-    "length": K.length,
-    "toString": K.to_string,
-    "ifelse": K.ifelse,
-}
-
-
-def compute_kernel(opcode: str) -> Callable[..., Value]:
-    """Kernel callable for a compute opcode."""
-    if opcode in _BINARY_OPS:
-        return lambda a, b: K.binary(opcode, a, b)
-    if opcode in _UNARY_OPS:
-        return lambda a: K.unary(opcode, a)
-    if opcode in _AGG_OPS:
-        return lambda a: K.aggregate(opcode, a)
-    if opcode in _SPECIAL:
-        return _SPECIAL[opcode]
-    raise LimaRuntimeError(f"unknown compute opcode {opcode!r}")
-
-
-def is_compute_opcode(opcode: str) -> bool:
-    return (opcode in _BINARY_OPS or opcode in _UNARY_OPS
-            or opcode in _AGG_OPS or opcode in _SPECIAL)
 
 
 class ComputeInstruction(Instruction):
     """Generic pure computation: n operands in, one output."""
 
-    reusable = True
-
     def __init__(self, opcode: str, operands: list[Operand], output: str,
                  line: int = 0):
         super().__init__(line)
+        #: the opcode's row in the opcode table, resolved once here
+        self.row = lookup(opcode)
+        self.reusable = self.row.reusable
         self.opcode = opcode
         self.operands = operands
         self.output = output
-        self._kernel = compute_kernel(opcode)
         #: operand slots the liveness pass proved safe to overwrite in
         #: place (single-use fresh temporaries); the runtime additionally
         #: gates on ``ctx.allow_inplace``
@@ -151,18 +61,18 @@ class ComputeInstruction(Instruction):
             if result is not None:
                 ctx.symbols.set(self.output, result)
                 return
-        ctx.symbols.set(self.output, self._kernel(*values))
+        ctx.symbols.set(self.output, self.row.kernel(*values))
 
     def _execute_inplace(self, values: list[Value]) -> Value | None:
+        ufunc = self.row.inplace
         if len(values) == 2:
             for slot in self.inplace_slots:
-                result = K.binary_into(self.opcode, values[0], values[1],
-                                       slot)
+                result = K.binary_into(ufunc, values[0], values[1], slot)
                 if result is not None:
                     return result
             return None
         if len(values) == 1:
-            return K.unary_into(self.opcode, values[0])
+            return K.unary_into(ufunc, values[0])
         return None
 
 
@@ -353,11 +263,11 @@ class LeftIndexInstruction(Instruction):
 class MultiReturnInstruction(Instruction):
     """Multi-return builtins: ``eigen`` and ``svd``."""
 
-    reusable = True
-
     def __init__(self, opcode: str, operand: Operand, outputs: list[str],
                  line: int = 0):
         super().__init__(line)
+        self.row = lookup(opcode, MULTI)
+        self.reusable = self.row.reusable
         self.opcode = opcode
         self.operand = operand
         self._outputs = outputs
@@ -375,13 +285,7 @@ class MultiReturnInstruction(Instruction):
                 for i, name in enumerate(self._outputs)}
 
     def execute(self, ctx, state) -> None:
-        value = self.operand.resolve(ctx)
-        if self.opcode == "eigen":
-            results = K.eigen(value)
-        elif self.opcode == "svd":
-            results = K.svd(value)
-        else:
-            raise LimaRuntimeError(f"unknown multi-return {self.opcode!r}")
+        results = self.row.kernel(self.operand.resolve(ctx))
         for name, result in zip(self._outputs, results):
             ctx.symbols.set(name, result)
 

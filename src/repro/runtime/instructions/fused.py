@@ -22,14 +22,8 @@ import numpy as np
 from repro.data.values import MatrixValue, ScalarValue, Value
 from repro.errors import LimaRuntimeError
 from repro.lineage.item import LineageItem, literal_item
-from repro.runtime import kernels as K
 from repro.runtime.instructions.base import Instruction, Operand
-
-_NUMPY_BINARY = dict(K._BINARY_NUMERIC)
-_NUMPY_BINARY.update(K._BINARY_COMPARE)
-_NUMPY_BINARY["&"] = lambda a, b: np.logical_and(a != 0, b != 0)
-_NUMPY_BINARY["|"] = lambda a, b: np.logical_or(a != 0, b != 0)
-_NUMPY_UNARY = dict(K._UNARY)
+from repro.runtime.ops import OPS
 
 
 def template_signature(template) -> str:
@@ -50,24 +44,17 @@ def evaluate_template(template, inputs: list) -> np.ndarray | float:
         return inputs[template[1]]
     if kind == "lit":
         return template[1]
-    args = [evaluate_template(c, inputs) for c in template[1:]]
-    if len(args) == 2:
-        fn = _NUMPY_BINARY.get(kind)
-        if fn is None:
-            raise LimaRuntimeError(f"unfusable binary opcode {kind!r}")
-        return fn(*args)
-    fn = _NUMPY_UNARY.get(kind)
-    if fn is None:
-        raise LimaRuntimeError(f"unfusable unary opcode {kind!r}")
-    return fn(args[0])
+    row = OPS.get(kind)
+    if row is None or not row.elementwise:
+        raise LimaRuntimeError(f"unfusable opcode {kind!r}")
+    return row.fn(*[evaluate_template(c, inputs) for c in template[1:]])
 
 
 def _evaluate_values(template, inputs: list[Value]) -> Value:
     """Evaluate a template stepwise on runtime values.
 
-    Slow path for non-numeric inputs: :func:`repro.runtime.kernels.binary`
-    and :func:`~repro.runtime.kernels.unary` keep the unfused semantics
-    (notably string ``+`` concatenation).
+    Slow path for non-numeric inputs: the opcodes' value-level kernels
+    keep the unfused semantics (notably string ``+`` concatenation).
     """
     kind = template[0]
     if kind == "in":
@@ -75,10 +62,8 @@ def _evaluate_values(template, inputs: list[Value]) -> Value:
     if kind == "lit":
         from repro.data.values import wrap
         return wrap(template[1])
-    args = [_evaluate_values(c, inputs) for c in template[1:]]
-    if len(args) == 2:
-        return K.binary(kind, args[0], args[1])
-    return K.unary(kind, args[0])
+    return OPS[kind].kernel(*[_evaluate_values(c, inputs)
+                              for c in template[1:]])
 
 
 def expand_template(template, input_items: list[LineageItem],
@@ -117,6 +102,9 @@ class FusedInstruction(Instruction):
         self.operands = operands
         self.output = output
         self.signature = template_signature(template)
+        # a scalar result is typed by the root opcode, as unfused: a
+        # comparison or logical yields a boolean, anything else a float
+        self._scalar = bool if OPS[template[0]].bool_result else float
 
     @property
     def outputs(self) -> list[str]:
@@ -154,5 +142,5 @@ class FusedInstruction(Instruction):
         if isinstance(result, np.ndarray) and result.ndim >= 1:
             out: Value = MatrixValue(result.astype(np.float64, copy=False))
         else:
-            out = ScalarValue(float(result))
+            out = ScalarValue(self._scalar(result))
         ctx.symbols.set(self.output, out)

@@ -371,8 +371,7 @@ class Interpreter:
     def _reuse_eligible(self, inst) -> bool:
         """Can full reuse ever apply to ``inst`` under this config?"""
         return (self.cache is not None and self.config.reuse_full
-                and inst.reusable and not inst.unmarked
-                and inst.opcode in self.config.reusable_opcodes)
+                and inst.reusable and not inst.unmarked)
 
     def _compile_compute_handler(self, inst):
         """Fused fast path for :class:`ComputeInstruction`.
@@ -388,7 +387,7 @@ class Interpreter:
             return None
         opcode = inst.opcode
         out = inst.output
-        kernel = inst._kernel
+        kernel = inst.row.kernel
         inplace_slots = inst.inplace_slots
         execute_inplace = inst._execute_inplace
         traced = self.config.lineage

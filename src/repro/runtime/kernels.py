@@ -1,10 +1,10 @@
 """NumPy kernels backing the runtime instruction set.
 
 Each kernel is a pure function from input :class:`~repro.data.values.Value`
-objects (plus optional keyword parameters) to an output value.  Instructions
-dispatch into this module by opcode; keeping the numerics here in one place
-makes the instruction classes thin and the kernels easy to test in
-isolation.
+objects (plus optional keyword parameters) to an output value.  The opcode
+table (:mod:`repro.runtime.ops`) binds every opcode to its kernel here;
+keeping the numerics in one place makes the instruction classes thin and
+the kernels easy to test in isolation.
 
 Conventions:
 
@@ -34,64 +34,42 @@ def _num(value: Value):
     raise LimaValueError(f"expected matrix or scalar, got {value.kind}")
 
 
-def _wrap_num(result) -> Value:
-    """Wrap an ndarray/scalar kernel result into a runtime value."""
-    if isinstance(result, np.ndarray):
-        return MatrixValue(result)
-    return ScalarValue(result)
-
-
 # ---------------------------------------------------------------------------
 # binary elementwise
 # ---------------------------------------------------------------------------
 
-_BINARY_NUMERIC = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
-    "%%": np.mod,
-    "%/%": lambda a, b: np.floor_divide(a, b),
-    "min2": np.minimum,
-    "max2": np.maximum,
-}
-
-_BINARY_COMPARE = {
-    "==": np.equal,
-    "!=": np.not_equal,
-    "<": np.less,
-    ">": np.greater,
-    "<=": np.less_equal,
-    ">=": np.greater_equal,
-}
-
-_BINARY_LOGICAL = {
-    "&": np.logical_and,
-    "|": np.logical_or,
-}
+def int_divide(a, b):
+    """``%/%``: floor division.  A plain function rather than the ufunc, so
+    the row has no in-place variant."""
+    return np.floor_divide(a, b)
 
 
-def binary(opcode: str, left: Value, right: Value) -> Value:
-    """Elementwise binary op; string ``+`` concatenates."""
-    if opcode == "+" and (isinstance(left, StringValue)
-                          or isinstance(right, StringValue)):
-        return StringValue(_to_display(left) + _to_display(right))
-    a, b = _num(left), _num(right)
-    if opcode in _BINARY_NUMERIC:
-        result = _BINARY_NUMERIC[opcode](a, b)
-    elif opcode in _BINARY_COMPARE:
-        result = _BINARY_COMPARE[opcode](a, b)
-    elif opcode in _BINARY_LOGICAL:
-        result = _BINARY_LOGICAL[opcode](np.asarray(a) != 0,
-                                         np.asarray(b) != 0)
-    else:
-        raise LimaRuntimeError(f"unknown binary opcode {opcode!r}")
-    if isinstance(result, np.ndarray) and result.ndim >= 1:
-        return MatrixValue(result.astype(np.float64, copy=False))
-    if opcode in _BINARY_COMPARE or opcode in _BINARY_LOGICAL:
-        return ScalarValue(bool(result))
-    return ScalarValue(float(result))
+def logical_and(a, b):
+    return np.logical_and(np.asarray(a) != 0, np.asarray(b) != 0)
+
+
+def logical_or(a, b):
+    return np.logical_or(np.asarray(a) != 0, np.asarray(b) != 0)
+
+
+def binary_kernel(fn, bool_result: bool = False, concat: bool = False):
+    """Value-level kernel of the raw elementwise binary function ``fn``.
+
+    Matrix results are float64 matrices; scalar results are booleans for
+    comparisons and logicals (``bool_result``) and floats otherwise.  With
+    ``concat`` (the ``+`` row), a string operand concatenates.
+    """
+    cast = bool if bool_result else float
+
+    def kernel(left: Value, right: Value) -> Value:
+        if concat and (isinstance(left, StringValue)
+                       or isinstance(right, StringValue)):
+            return StringValue(_to_display(left) + _to_display(right))
+        result = fn(_num(left), _num(right))
+        if isinstance(result, np.ndarray) and result.ndim >= 1:
+            return MatrixValue(result.astype(np.float64, copy=False))
+        return ScalarValue(cast(result))
+    return kernel
 
 
 def _to_display(value: Value) -> str:
@@ -113,29 +91,24 @@ def _to_display(value: Value) -> str:
 # unary
 # ---------------------------------------------------------------------------
 
-_UNARY = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "round": np.round,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "sign": np.sign,
-    "!": lambda a: np.logical_not(np.asarray(a) != 0),
-    "sigmoid": lambda a: 1.0 / (1.0 + np.exp(-a)),
-}
+def logical_not(a):
+    return np.logical_not(np.asarray(a) != 0)
 
 
-def unary(opcode: str, operand: Value) -> Value:
-    if opcode not in _UNARY:
-        raise LimaRuntimeError(f"unknown unary opcode {opcode!r}")
-    result = _UNARY[opcode](_num(operand))
-    if isinstance(result, np.ndarray) and result.ndim >= 1:
-        return MatrixValue(result.astype(np.float64, copy=False))
-    if opcode == "!":
-        return ScalarValue(bool(result))
-    return ScalarValue(float(result))
+def sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def unary_kernel(fn, bool_result: bool = False):
+    """Value-level kernel of the raw elementwise unary function ``fn``."""
+    cast = bool if bool_result else float
+
+    def kernel(operand: Value) -> Value:
+        result = fn(_num(operand))
+        if isinstance(result, np.ndarray) and result.ndim >= 1:
+            return MatrixValue(result.astype(np.float64, copy=False))
+        return ScalarValue(cast(result))
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -150,31 +123,9 @@ def unary(opcode: str, operand: Value) -> Value:
 # buffer instead of allocating a full new matrix — removing one allocation
 # + copy per op in elementwise chains (the Fig. 6 hot path).
 #
-# Only ufuncs that write float64 results without a dtype change qualify;
-# comparisons/logicals produce bools and are excluded.
-
-_INPLACE_BINARY = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
-    "%%": np.mod,
-    "min2": np.minimum,
-    "max2": np.maximum,
-}
-
-_INPLACE_UNARY = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "round": np.round,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "sign": np.sign,
-}
-
+# Only ufuncs that write float64 results without a dtype change qualify
+# (the ``inplace`` column of the opcode table); comparisons/logicals
+# produce bools and are excluded.
 
 def _inplace_target(value: Value):
     """The writable float64 buffer of a matrix value, or None."""
@@ -188,17 +139,14 @@ def _inplace_target(value: Value):
     return buf
 
 
-def binary_into(opcode: str, left: Value, right: Value,
+def binary_into(ufunc, left: Value, right: Value,
                 into: int) -> Value | None:
-    """Elementwise binary op overwriting operand ``into``'s buffer.
+    """Elementwise binary ``ufunc`` overwriting operand ``into``'s buffer.
 
     Returns the result (sharing the overwritten buffer) or None when the
-    operation is not eligible — the caller then falls back to the
-    allocating :func:`binary` kernel.
+    operands are not eligible — the caller then falls back to the
+    allocating kernel.
     """
-    ufunc = _INPLACE_BINARY.get(opcode)
-    if ufunc is None:
-        return None
     target = left if into == 0 else right
     buf = _inplace_target(target)
     if buf is None:
@@ -224,11 +172,9 @@ def binary_into(opcode: str, left: Value, right: Value,
     return MatrixValue(buf)
 
 
-def unary_into(opcode: str, operand: Value) -> Value | None:
-    """Elementwise unary op overwriting the operand's buffer (or None)."""
-    ufunc = _INPLACE_UNARY.get(opcode)
-    if ufunc is None:
-        return None
+def unary_into(ufunc, operand: Value) -> Value | None:
+    """Elementwise unary ``ufunc`` overwriting the operand's buffer (or
+    None)."""
     buf = _inplace_target(operand)
     if buf is None:
         return None
@@ -240,45 +186,39 @@ def unary_into(opcode: str, operand: Value) -> Value | None:
 # aggregates
 # ---------------------------------------------------------------------------
 
-def aggregate(opcode: str, operand: Value) -> Value:
-    a = _num(operand)
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    full = {
-        "sum": lambda m: float(m.sum()),
-        "mean": lambda m: float(m.mean()),
-        "min": lambda m: float(m.min()),
-        "max": lambda m: float(m.max()),
-        "var": lambda m: float(m.var(ddof=1)) if m.size > 1 else 0.0,
-        "sd": lambda m: float(m.std(ddof=1)) if m.size > 1 else 0.0,
-        "trace": lambda m: float(np.trace(m)),
-    }
-    if opcode in full:
-        return ScalarValue(full[opcode](a))
-    col = {
-        "colSums": lambda m: m.sum(axis=0, keepdims=True),
-        "colMeans": lambda m: m.mean(axis=0, keepdims=True),
-        "colMins": lambda m: m.min(axis=0, keepdims=True),
-        "colMaxs": lambda m: m.max(axis=0, keepdims=True),
-        "colVars": lambda m: m.var(axis=0, ddof=1, keepdims=True),
-        "colSds": lambda m: m.std(axis=0, ddof=1, keepdims=True),
-    }
-    if opcode in col:
-        return MatrixValue(col[opcode](a))
-    row = {
-        "rowSums": lambda m: m.sum(axis=1, keepdims=True),
-        "rowMeans": lambda m: m.mean(axis=1, keepdims=True),
-        "rowMins": lambda m: m.min(axis=1, keepdims=True),
-        "rowMaxs": lambda m: m.max(axis=1, keepdims=True),
-    }
-    if opcode in row:
-        return MatrixValue(row[opcode](a))
-    if opcode == "rowIndexMax":
-        return MatrixValue((np.argmax(a, axis=1) + 1.0).reshape(-1, 1))
-    if opcode == "cumsum":
-        return MatrixValue(np.cumsum(a, axis=0))
-    raise LimaRuntimeError(f"unknown aggregate opcode {opcode!r}")
+def reduce_all(method, ddof: int = 0):
+    """Reduction of every cell to a float; sample statistics (``ddof=1``)
+    of a single cell are 0."""
+    if ddof:
+        return lambda m: float(method(m, ddof=ddof)) if m.size > 1 else 0.0
+    return lambda m: float(method(m))
+
+
+def reduce_axis(method, axis: int, **kwargs):
+    """Reduction along ``axis`` to a row (axis 0) or column (axis 1)."""
+    return lambda m: method(m, axis=axis, keepdims=True, **kwargs)
+
+
+def row_index_max(m: np.ndarray) -> np.ndarray:
+    return (np.argmax(m, axis=1) + 1.0).reshape(-1, 1)
+
+
+def cumsum(m: np.ndarray) -> np.ndarray:
+    return np.cumsum(m, axis=0)
+
+
+def aggregate_kernel(fn):
+    """Value-level kernel of ``fn`` over the operand as a 2-d float64
+    array: a float result is a scalar, an array result a matrix."""
+    def kernel(operand: Value) -> Value:
+        a = np.asarray(_num(operand), dtype=np.float64)
+        if a.ndim == 0:
+            a = a.reshape(1, 1)
+        result = fn(a)
+        if isinstance(result, np.ndarray):
+            return MatrixValue(result)
+        return ScalarValue(result)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +467,14 @@ def reshape(source: Value, rows: int, cols: int) -> MatrixValue:
     return MatrixValue(m.reshape(rows, cols, order="C").copy())
 
 
+def matrix(value: Value, rows: ScalarValue,
+           cols: ScalarValue) -> MatrixValue:
+    """``matrix(x, rows, cols)``: fill from a scalar, reshape a matrix."""
+    if isinstance(value, ScalarValue):
+        return fill(value.as_float(), rows.as_int(), cols.as_int())
+    return reshape(value, rows.as_int(), cols.as_int())
+
+
 # ---------------------------------------------------------------------------
 # transform encoding (frames → matrices): recode, binning, one-hot
 # ---------------------------------------------------------------------------
@@ -632,6 +580,21 @@ def length(value: Value) -> ScalarValue:
     if isinstance(value, StringValue):
         return ScalarValue(len(value.value))
     return ScalarValue(1)
+
+
+def list_append(lst: Value, name: Value, value: Value) -> ListValue:
+    """``lappend(l, name, v)`` — append a named element to a list.
+
+    Used by ``gridSearch`` to build ``eval`` argument lists with
+    runtime-determined parameter names.
+    """
+    if not isinstance(lst, ListValue):
+        raise LimaRuntimeError("lappend() requires a list as first argument")
+    if not isinstance(name, StringValue):
+        raise LimaRuntimeError("lappend() requires a string element name")
+    names = list(lst.names) if lst.names is not None \
+        else [""] * len(lst.items)
+    return ListValue(lst.items + [value], names + [name.value])
 
 
 def to_string(value: Value) -> StringValue:

@@ -67,6 +67,22 @@ class TestFusedExecution:
         out = evaluate_template(template, [np.ones((2, 2)), 3.0])
         np.testing.assert_array_equal(out, np.full((2, 2), 5.0))
 
+    def test_bool_root_matches_unfused(self):
+        """A fused scalar template rooted in a comparison or logical
+        yields a boolean, exactly as the unfused kernels do (regression:
+        fused execution printed 1/0 where base printed TRUE/FALSE)."""
+        script = ("a = 3; b = 2; c = (a + 1) > b; d = !(a > b); "
+                  "e = (a * 2) == 6; print(c); print(d); print(e);")
+        assert fused_of(script), "the chains must actually fuse"
+        runs = []
+        for cfg in (LimaConfig.base(), LimaConfig(fusion=True),
+                    LimaConfig.hybrid().with_(fusion=True)):
+            result = LimaSession(cfg).run(script)
+            runs.append((result.stdout,
+                         [type(result.get(v)) for v in "cde"]))
+        assert runs[0] == (["TRUE", "FALSE", "TRUE"], [bool] * 3)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_template_signature_stable(self):
         template = ("+", ("in", 0), ("lit", 1))
         assert template_signature(template) == "+($0,1)"

@@ -18,6 +18,7 @@ from repro.errors import LimaRuntimeError
 from repro.lineage.reconstruct import recompute
 from repro.runtime import interpreter as interp_mod
 from repro.runtime import kernels as K
+from repro.runtime.ops import OPS
 from repro.runtime.profiler import OpProfiler
 
 SCRIPT = """
@@ -94,7 +95,7 @@ class TestInPlaceKernels:
         left = MatrixValue(np.full((3, 3), 2.0))
         right = MatrixValue(np.full((3, 3), 5.0))
         buf = left.data
-        result = K.binary_into("+", left, right, 0)
+        result = K.binary_into(np.add, left, right, 0)
         assert result is not None
         assert result.data is buf
         np.testing.assert_array_equal(result.data, np.full((3, 3), 7.0))
@@ -102,15 +103,17 @@ class TestInPlaceKernels:
     def test_binary_into_respects_target_side(self):
         left = MatrixValue(np.full((2, 2), 9.0))
         right = MatrixValue(np.full((2, 2), 3.0))
-        result = K.binary_into("/", left, right, 1)
+        result = K.binary_into(np.divide, left, right, 1)
         assert result is not None
         assert result.data is right.data
         np.testing.assert_array_equal(result.data, np.full((2, 2), 3.0))
 
     def test_comparison_opcodes_not_inplace(self):
-        left = MatrixValue(np.ones((2, 2)))
-        right = MatrixValue(np.ones((2, 2)))
-        assert K.binary_into("==", left, right, 0) is None
+        for op in ("==", "!=", "<", ">", "<=", ">=", "&", "|", "!"):
+            assert OPS[op].inplace is None
+        program = compile_script("Y = (X + 1) == X;", LimaConfig.base())
+        assert not any(getattr(inst, "inplace_slots", ())
+                       for inst in program.blocks[0].instructions)
 
     def test_bit_identical_with_and_without_inplace(self):
         x = np.random.default_rng(3).standard_normal((8, 6))

@@ -18,10 +18,9 @@ from repro.runtime.instructions.cp import (ComputeInstruction,
                                            ListInstruction,
                                            MultiReturnInstruction,
                                            PrintInstruction,
-                                           VariableInstruction,
-                                           compute_kernel,
-                                           is_compute_opcode)
+                                           VariableInstruction)
 from repro.runtime.interpreter import Interpreter
+from repro.runtime.ops import MULTI, lookup
 
 
 @pytest.fixture
@@ -76,15 +75,18 @@ class TestComputeInstruction:
         with pytest.raises(LimaRuntimeError):
             ComputeInstruction("bogus", [], "out")
 
-    def test_is_compute_opcode(self):
-        assert is_compute_opcode("mm")
-        assert is_compute_opcode("colSums")
-        assert not is_compute_opcode("fcall")
+    def test_compute_rows_looked_up(self):
+        assert lookup("mm").kind == "special"
+        assert lookup("colSums").kind == "aggregate"
+        for opcode in ("fcall", "eigen"):  # no row / not a compute row
+            with pytest.raises(LimaRuntimeError):
+                lookup(opcode)
+        assert lookup("eigen", MULTI).returns == 2
 
     def test_compute_kernel_dispatch(self):
-        kernel = compute_kernel("tsmm")
+        inst = ComputeInstruction("tsmm", [Operand.var("x")], "out")
         x = MatrixValue(np.eye(2) * 2)
-        np.testing.assert_array_equal(kernel(x).data, np.eye(2) * 4)
+        np.testing.assert_array_equal(inst.row.kernel(x).data, np.eye(2) * 4)
 
     def test_reusable_flag(self):
         inst = ComputeInstruction("mm", [Operand.var("a"),

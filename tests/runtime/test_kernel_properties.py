@@ -8,15 +8,21 @@ import pytest
 
 from repro.data.values import MatrixValue, ScalarValue
 from repro.runtime import kernels as K
+from repro.runtime.ops import OPS
 
 SEEDS = [0, 1, 2, 3, 4]
 
 #: the degenerate-shape pool every property sweeps over
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1), (3, 4)]
 
-_ARITH = ["+", "-", "*", "/", "min2", "max2"]
-_COMPARE = ["==", "!=", "<", ">", "<=", ">="]
-_UNARY_SAFE = ["exp", "abs", "round", "floor", "ceil", "sign", "sigmoid"]
+#: opcode -> the NumPy function its kernel must agree with
+_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+          "min2": np.minimum, "max2": np.maximum}
+_COMPARE = {"==": np.equal, "!=": np.not_equal, "<": np.less,
+            ">": np.greater, "<=": np.less_equal, ">=": np.greater_equal}
+_UNARY_SAFE = {"exp": np.exp, "abs": np.abs, "round": np.round,
+               "floor": np.floor, "ceil": np.ceil, "sign": np.sign,
+               "sigmoid": lambda a: 1.0 / (1.0 + np.exp(-a))}
 _AGG_FULL = ["sum", "mean", "min", "max"]
 _AGG_AXIS = ["colSums", "colMeans", "rowSums", "rowMeans"]
 
@@ -41,13 +47,13 @@ def test_binary_matches_numpy(seed, shape):
     rng = np.random.default_rng(seed)
     a = _mat(rng, shape, special=seed == 0)
     b = _mat(rng, shape) + 0.5  # keep divisors away from exact zero
-    for op in _ARITH:
-        got = K.binary(op, MatrixValue(a.copy()), MatrixValue(b.copy()))
-        want = _expect(K._BINARY_NUMERIC[op], a, b)
+    for op, fn in _ARITH.items():
+        got = OPS[op].kernel(MatrixValue(a.copy()), MatrixValue(b.copy()))
+        want = _expect(fn, a, b)
         np.testing.assert_array_equal(np.asarray(got.data), want)
-    for op in _COMPARE:
-        got = K.binary(op, MatrixValue(a.copy()), MatrixValue(b.copy()))
-        want = _expect(K._BINARY_COMPARE[op], a, b).astype(np.float64)
+    for op, fn in _COMPARE.items():
+        got = OPS[op].kernel(MatrixValue(a.copy()), MatrixValue(b.copy()))
+        want = _expect(fn, a, b).astype(np.float64)
         np.testing.assert_array_equal(np.asarray(got.data), want)
 
 
@@ -56,9 +62,9 @@ def test_binary_matches_numpy(seed, shape):
 def test_unary_matches_numpy(seed, shape):
     rng = np.random.default_rng(seed)
     a = _mat(rng, shape, special=seed == 0)
-    for op in _UNARY_SAFE:
-        got = K.unary(op, MatrixValue(a.copy()))
-        want = _expect(K._UNARY[op], a)
+    for op, fn in _UNARY_SAFE.items():
+        got = OPS[op].kernel(MatrixValue(a.copy()))
+        want = _expect(fn, a)
         if isinstance(got, MatrixValue):
             np.testing.assert_array_equal(
                 np.asarray(got.data), np.asarray(want, dtype=np.float64))
@@ -72,13 +78,13 @@ def test_aggregates_match_numpy(seed):
     for shape in [(1, 1), (1, 5), (5, 1), (3, 4)]:
         a = _mat(rng, shape)
         for op in _AGG_FULL:
-            got = K.aggregate(op, MatrixValue(a.copy()))
+            got = OPS[op].kernel(MatrixValue(a.copy()))
             want = {"sum": a.sum, "mean": a.mean,
                     "min": a.min, "max": a.max}[op]()
             assert float(got.value) == pytest.approx(float(want),
                                                      rel=0, abs=0)
         for op in _AGG_AXIS:
-            got = K.aggregate(op, MatrixValue(a.copy()))
+            got = OPS[op].kernel(MatrixValue(a.copy()))
             axis = 0 if op.startswith("col") else 1
             fn = np.sum if "Sums" in op else np.mean
             want = fn(a, axis=axis, keepdims=True)
@@ -89,11 +95,11 @@ def test_aggregates_match_numpy(seed):
 def test_nan_inf_propagate_through_aggregates(seed):
     rng = np.random.default_rng(seed)
     a = _mat(rng, (3, 4), special=True)
-    got = K.aggregate("sum", MatrixValue(a.copy()))
+    got = OPS["sum"].kernel(MatrixValue(a.copy()))
     assert np.isnan(float(got.value))
     b = np.abs(_mat(rng, (2, 3))) + 1.0
     b[0, 0] = np.inf
-    got = K.aggregate("max", MatrixValue(b.copy()))
+    got = OPS["max"].kernel(MatrixValue(b.copy()))
     assert np.isinf(float(got.value))
 
 
@@ -109,10 +115,10 @@ def test_binary_into_matches_allocating_kernel(seed, shape):
         for into in (0, 1):
             a = _mat(rng, shape)
             b = _mat(rng, shape)
-            want = K.binary(op, MatrixValue(a.copy()),
-                            MatrixValue(b.copy()))
+            want = OPS[op].kernel(MatrixValue(a.copy()),
+                                  MatrixValue(b.copy()))
             left, right = MatrixValue(a.copy()), MatrixValue(b.copy())
-            got = K.binary_into(op, left, right, into=into)
+            got = K.binary_into(OPS[op].inplace, left, right, into=into)
             if got is None:
                 continue  # ineligible — the caller falls back
             target = left if into == 0 else right
@@ -128,26 +134,26 @@ def test_binary_into_refuses_views():
     view = MatrixValue(base[1:3, :])
     assert view.data.base is not None
     other = MatrixValue(np.ones((2, 4)))
-    assert K.binary_into("+", view, other, into=0) is None
+    assert K.binary_into(np.add, view, other, into=0) is None
     assert base.sum() == 0.0  # the backing buffer was never written
 
 
 def test_binary_into_refuses_broadcasts_and_readonly():
     a = MatrixValue(np.ones((3, 4)))
     row = MatrixValue(np.ones((1, 4)))
-    assert K.binary_into("+", a, row, into=1) is None
+    assert K.binary_into(np.add, a, row, into=1) is None
     locked = np.ones((2, 2))
     locked.flags.writeable = False
-    assert K.binary_into("+", MatrixValue(locked),
+    assert K.binary_into(np.add, MatrixValue(locked),
                          MatrixValue(np.ones((2, 2))), into=0) is None
 
 
 def test_unary_into_matches_allocating_kernel():
     rng = np.random.default_rng(7)
     a = np.abs(rng.standard_normal((3, 4))) + 0.5
-    want = K.unary("sqrt", MatrixValue(a.copy()))
+    want = OPS["sqrt"].kernel(MatrixValue(a.copy()))
     operand = MatrixValue(a.copy())
-    got = K.unary_into("sqrt", operand)
+    got = K.unary_into(np.sqrt, operand)
     if got is not None:
         assert got.data is operand.data
         np.testing.assert_array_equal(got.data, want.data)
@@ -159,7 +165,7 @@ def test_unary_into_matches_allocating_kernel():
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1), (3, 4)])
 def test_transpose_always_returns_fresh_buffer(shape):
-    """t() promises a freshly-allocated output (_FRESH_PRODUCERS); for
+    """t() promises a freshly-allocated output (its ``fresh`` row); for
     1xN/Nx1 the transpose is already contiguous and a no-copy shortcut
     would alias the input — the original fuzz-found aliasing bug."""
     a = np.arange(shape[0] * shape[1], dtype=np.float64).reshape(shape)
@@ -192,18 +198,18 @@ def test_matmult_tsmm_shapes(shape):
 
 def test_empty_matrix_elementwise_shapes_survive():
     empty = MatrixValue(np.zeros((0, 3)))
-    out = K.binary("+", empty, MatrixValue(np.zeros((0, 3))))
+    out = OPS["+"].kernel(empty, MatrixValue(np.zeros((0, 3))))
     assert out.data.shape == (0, 3)
-    out = K.unary("exp", empty)
+    out = OPS["exp"].kernel(empty)
     assert out.data.shape == (0, 3)
     assert K.transpose(empty).data.shape == (3, 0)
 
 
 def test_scalar_matrix_mix():
     a = np.array([[1.0, -2.0], [np.inf, 4.0]])
-    got = K.binary("*", MatrixValue(a.copy()), ScalarValue(2.0))
+    got = OPS["*"].kernel(MatrixValue(a.copy()), ScalarValue(2.0))
     with np.errstate(all="ignore"):
         np.testing.assert_array_equal(got.data, a * 2.0)
-    got = K.binary("max2", ScalarValue(0.0), MatrixValue(a.copy()))
+    got = OPS["max2"].kernel(ScalarValue(0.0), MatrixValue(a.copy()))
     with np.errstate(all="ignore"):
         np.testing.assert_array_equal(got.data, np.maximum(0.0, a))

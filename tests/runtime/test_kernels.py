@@ -1,4 +1,5 @@
-"""Unit tests for the NumPy kernels backing the instruction set."""
+"""Unit tests for the NumPy kernels backing the instruction set (reached
+by opcode through the opcode table)."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from repro.data.values import (ListValue, MatrixValue, ScalarValue,
                                StringValue)
 from repro.errors import LimaRuntimeError, LimaValueError
 from repro.runtime import kernels as K
+from repro.runtime.ops import BINARY, OPS, UNARY, lookup
 
 
 def m(array):
@@ -19,67 +21,67 @@ def s(value):
 
 class TestBinary:
     def test_add_matrices(self):
-        out = K.binary("+", m([[1, 2]]), m([[3, 4]]))
+        out = OPS["+"].kernel(m([[1, 2]]), m([[3, 4]]))
         np.testing.assert_array_equal(out.data, [[4, 6]])
 
     def test_add_matrix_scalar_broadcast(self):
-        out = K.binary("+", m([[1], [2]]), s(10))
+        out = OPS["+"].kernel(m([[1], [2]]), s(10))
         np.testing.assert_array_equal(out.data, [[11], [12]])
 
     def test_scalar_scalar_returns_scalar(self):
-        out = K.binary("*", s(3), s(4))
+        out = OPS["*"].kernel(s(3), s(4))
         assert isinstance(out, ScalarValue)
         assert out.value == 12.0
 
     def test_subtract_and_divide(self):
-        out = K.binary("-", m([[5, 6]]), m([[1, 2]]))
+        out = OPS["-"].kernel(m([[5, 6]]), m([[1, 2]]))
         np.testing.assert_array_equal(out.data, [[4, 4]])
-        out = K.binary("/", m([[8, 6]]), m([[2, 3]]))
+        out = OPS["/"].kernel(m([[8, 6]]), m([[2, 3]]))
         np.testing.assert_array_equal(out.data, [[4, 2]])
 
     def test_power(self):
-        out = K.binary("^", m([[2, 3]]), s(2))
+        out = OPS["^"].kernel(m([[2, 3]]), s(2))
         np.testing.assert_array_equal(out.data, [[4, 9]])
 
     def test_modulo_and_intdiv(self):
-        assert K.binary("%%", s(7), s(3)).value == 1.0
-        assert K.binary("%/%", s(7), s(3)).value == 2.0
+        assert OPS["%%"].kernel(s(7), s(3)).value == 1.0
+        assert OPS["%/%"].kernel(s(7), s(3)).value == 2.0
 
     def test_min2_max2(self):
         np.testing.assert_array_equal(
-            K.binary("min2", m([[1, 5]]), m([[3, 2]])).data, [[1, 2]])
+            OPS["min2"].kernel(m([[1, 5]]), m([[3, 2]])).data, [[1, 2]])
         np.testing.assert_array_equal(
-            K.binary("max2", m([[1, 5]]), m([[3, 2]])).data, [[3, 5]])
+            OPS["max2"].kernel(m([[1, 5]]), m([[3, 2]])).data, [[3, 5]])
 
     @pytest.mark.parametrize("op,expected", [
         ("==", [[0, 1]]), ("!=", [[1, 0]]), ("<", [[1, 0]]),
         (">", [[0, 0]]), ("<=", [[1, 1]]), (">=", [[0, 1]]),
     ])
     def test_comparisons(self, op, expected):
-        out = K.binary(op, m([[1, 2]]), m([[2, 2]]))
+        out = OPS[op].kernel(m([[1, 2]]), m([[2, 2]]))
         np.testing.assert_array_equal(out.data, expected)
 
     def test_scalar_comparison_returns_bool(self):
-        out = K.binary("<", s(1), s(2))
+        out = OPS["<"].kernel(s(1), s(2))
         assert out.value is True
 
     def test_logical_and_or(self):
         np.testing.assert_array_equal(
-            K.binary("&", m([[1, 0]]), m([[1, 1]])).data, [[1, 0]])
+            OPS["&"].kernel(m([[1, 0]]), m([[1, 1]])).data, [[1, 0]])
         np.testing.assert_array_equal(
-            K.binary("|", m([[1, 0]]), m([[0, 0]])).data, [[1, 0]])
+            OPS["|"].kernel(m([[1, 0]]), m([[0, 0]])).data, [[1, 0]])
 
     def test_string_concatenation(self):
-        out = K.binary("+", StringValue("a="), s(3))
+        out = OPS["+"].kernel(StringValue("a="), s(3))
         assert out.value == "a=3"
 
     def test_string_concat_float(self):
-        out = K.binary("+", StringValue("x "), s(2.5))
+        out = OPS["+"].kernel(StringValue("x "), s(2.5))
         assert out.value == "x 2.5"
 
     def test_unknown_opcode_raises(self):
         with pytest.raises(LimaRuntimeError):
-            K.binary("@@", s(1), s(2))
+            lookup("@@", BINARY)
 
 
 class TestUnary:
@@ -94,18 +96,18 @@ class TestUnary:
         ("sign", [[-5.0]], [[-1.0]]),
     ])
     def test_elementwise(self, op, inp, expected):
-        np.testing.assert_allclose(K.unary(op, m(inp)).data, expected)
+        np.testing.assert_allclose(OPS[op].kernel(m(inp)).data, expected)
 
     def test_sigmoid(self):
-        np.testing.assert_allclose(K.unary("sigmoid", s(0)).value, 0.5)
+        np.testing.assert_allclose(OPS["sigmoid"].kernel(s(0)).value, 0.5)
 
     def test_not(self):
         np.testing.assert_array_equal(
-            K.unary("!", m([[1, 0]])).data, [[0, 1]])
+            OPS["!"].kernel(m([[1, 0]])).data, [[0, 1]])
 
     def test_unknown_raises(self):
         with pytest.raises(LimaRuntimeError):
-            K.unary("nope", s(1))
+            lookup("nope", UNARY)
 
 
 class TestAggregates:
@@ -113,52 +115,52 @@ class TestAggregates:
         self.x = m([[1, 2], [3, 4], [5, 6]])
 
     def test_full_aggregates(self):
-        assert K.aggregate("sum", self.x).value == 21
-        assert K.aggregate("mean", self.x).value == 3.5
-        assert K.aggregate("min", self.x).value == 1
-        assert K.aggregate("max", self.x).value == 6
-        assert np.isclose(K.aggregate("var", self.x).value,
+        assert OPS["sum"].kernel(self.x).value == 21
+        assert OPS["mean"].kernel(self.x).value == 3.5
+        assert OPS["min"].kernel(self.x).value == 1
+        assert OPS["max"].kernel(self.x).value == 6
+        assert np.isclose(OPS["var"].kernel(self.x).value,
                           np.var([1, 2, 3, 4, 5, 6], ddof=1))
-        assert np.isclose(K.aggregate("sd", self.x).value,
+        assert np.isclose(OPS["sd"].kernel(self.x).value,
                           np.std([1, 2, 3, 4, 5, 6], ddof=1))
 
     def test_trace(self):
-        assert K.aggregate("trace", m([[1, 2], [3, 4]])).value == 5
+        assert OPS["trace"].kernel(m([[1, 2], [3, 4]])).value == 5
 
     def test_col_aggregates(self):
         np.testing.assert_array_equal(
-            K.aggregate("colSums", self.x).data, [[9, 12]])
+            OPS["colSums"].kernel(self.x).data, [[9, 12]])
         np.testing.assert_array_equal(
-            K.aggregate("colMeans", self.x).data, [[3, 4]])
+            OPS["colMeans"].kernel(self.x).data, [[3, 4]])
         np.testing.assert_array_equal(
-            K.aggregate("colMins", self.x).data, [[1, 2]])
+            OPS["colMins"].kernel(self.x).data, [[1, 2]])
         np.testing.assert_array_equal(
-            K.aggregate("colMaxs", self.x).data, [[5, 6]])
+            OPS["colMaxs"].kernel(self.x).data, [[5, 6]])
 
     def test_row_aggregates(self):
         np.testing.assert_array_equal(
-            K.aggregate("rowSums", self.x).data, [[3], [7], [11]])
+            OPS["rowSums"].kernel(self.x).data, [[3], [7], [11]])
         np.testing.assert_array_equal(
-            K.aggregate("rowMeans", self.x).data, [[1.5], [3.5], [5.5]])
+            OPS["rowMeans"].kernel(self.x).data, [[1.5], [3.5], [5.5]])
 
     def test_col_var_sd(self):
         np.testing.assert_allclose(
-            K.aggregate("colVars", self.x).data,
+            OPS["colVars"].kernel(self.x).data,
             np.var(self.x.data, axis=0, ddof=1, keepdims=True))
         np.testing.assert_allclose(
-            K.aggregate("colSds", self.x).data,
+            OPS["colSds"].kernel(self.x).data,
             np.std(self.x.data, axis=0, ddof=1, keepdims=True))
 
     def test_row_index_max_is_one_based(self):
-        out = K.aggregate("rowIndexMax", m([[1, 9], [8, 2]]))
+        out = OPS["rowIndexMax"].kernel(m([[1, 9], [8, 2]]))
         np.testing.assert_array_equal(out.data, [[2], [1]])
 
     def test_cumsum(self):
         np.testing.assert_array_equal(
-            K.aggregate("cumsum", m([[1], [2], [3]])).data, [[1], [3], [6]])
+            OPS["cumsum"].kernel(m([[1], [2], [3]])).data, [[1], [3], [6]])
 
     def test_var_of_single_element_is_zero(self):
-        assert K.aggregate("var", m([[3.0]])).value == 0.0
+        assert OPS["var"].kernel(m([[3.0]])).value == 0.0
 
 
 class TestMatrixOps:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.config import DEFAULT_REUSABLE_OPCODES, LimaConfig
+from repro.config import LimaConfig
+from repro.runtime.instructions import (DataGenInstruction,
+                                        IndexInstruction,
+                                        LeftIndexInstruction, ListInstruction)
+from repro.runtime.ops import OPS
 
 
 class TestPresets:
@@ -74,12 +78,20 @@ class TestWith:
 
 
 class TestReusableOpcodes:
+    """The reusable opcode set (Section 4.1): the opcode table's
+    ``reusable`` column; instructions without a row declare it on their
+    class."""
+
     def test_heavy_ops_included(self):
-        for opcode in ("mm", "tsmm", "solve", "eigen", "cbind",
-                       "rightIndex"):
-            assert opcode in DEFAULT_REUSABLE_OPCODES
+        for opcode in ("mm", "tsmm", "solve", "eigen", "cbind"):
+            assert OPS[opcode].reusable
+        assert IndexInstruction.opcode == "rightIndex"
+        assert IndexInstruction.reusable
 
     def test_cheap_metadata_ops_excluded(self):
-        for opcode in ("nrow", "ncol", "length", "as.scalar", "rand",
-                       "leftIndex", "list"):
-            assert opcode not in DEFAULT_REUSABLE_OPCODES
+        for opcode in ("nrow", "ncol", "length", "as.scalar"):
+            assert not OPS[opcode].reusable
+        for opcode, cls in (("rand", DataGenInstruction),
+                            ("leftIndex", LeftIndexInstruction),
+                            ("list", ListInstruction)):
+            assert opcode not in OPS and not cls.reusable

@@ -22,6 +22,7 @@ from repro.lineage.item import LineageItem, literal_item, parse_literal
 from repro.lineage.serialize import deserialize, serialize
 from repro.reuse.cache import LineageCache
 from repro.runtime import kernels as K
+from repro.runtime.ops import OPS
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -151,18 +152,18 @@ class TestKernelProperties:
     def test_binary_matches_numpy(self, x, op):
         fn = {"+": np.add, "-": np.subtract, "*": np.multiply,
               "min2": np.minimum, "max2": np.maximum}[op]
-        out = K.binary(op, MatrixValue(x), MatrixValue(x + 1.0))
+        out = OPS[op].kernel(MatrixValue(x), MatrixValue(x + 1.0))
         np.testing.assert_allclose(out.data, fn(x, x + 1.0))
 
     @given(matrices())
     @settings(max_examples=50, deadline=None)
     def test_aggregates_match_numpy(self, x):
-        assert np.isclose(K.aggregate("sum", MatrixValue(x)).value, x.sum())
+        assert np.isclose(OPS["sum"].kernel(MatrixValue(x)).value, x.sum())
         np.testing.assert_allclose(
-            K.aggregate("colSums", MatrixValue(x)).data,
+            OPS["colSums"].kernel(MatrixValue(x)).data,
             x.sum(axis=0, keepdims=True))
         np.testing.assert_allclose(
-            K.aggregate("rowSums", MatrixValue(x)).data,
+            OPS["rowSums"].kernel(MatrixValue(x)).data,
             x.sum(axis=1, keepdims=True))
 
     @given(matrices())
