@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 
 import numpy as np
 
@@ -30,14 +31,16 @@ from repro.compiler.program import Program
 from repro.config import LimaConfig
 from repro.data.values import (FrameValue, ListValue, MatrixValue,
                                ScalarValue, StringValue, Value, wrap)
-from repro.errors import LimaError
+from repro.errors import LimaError, SessionAborted
 from repro.lineage.item import LineageItem
 from repro.lineage.reconstruct import recompute as _recompute
 from repro.lineage.serialize import deserialize, serialize
 from repro.reuse.cache import LineageCache
 from repro.reuse.stats import CacheStats
+from repro.runtime.bufferpool import BufferPool
 from repro.runtime.context import ExecutionContext
 from repro.runtime.interpreter import Interpreter
+from repro.service.budget import activate_budget
 
 
 def input_leaf_item(name: str, value: Value) -> LineageItem:
@@ -45,9 +48,8 @@ def input_leaf_item(name: str, value: Value) -> LineageItem:
 
     The same array content under the same name always yields the same
     item — the property that enables reuse across invocations *and*
-    across concurrent service sessions.  :class:`LimaSession` memoizes
-    matrix fingerprints per array object on top of this; the service
-    keeps its own memo.
+    across concurrent service sessions.  :meth:`LimaSession.execute`
+    memoizes fingerprints per (name, array object) on top of this.
     """
     if isinstance(value, MatrixValue):
         digest = hashlib.sha1(
@@ -107,7 +109,14 @@ class RunResult:
 
 
 class LimaSession:
-    """A LIMA execution session: compile once, run many, reuse across runs."""
+    """A LIMA execution session: compile once, run many, reuse across runs.
+
+    The session is also the one session core of the concurrent
+    :class:`~repro.service.service.Service`: its workers call
+    :meth:`execute`, which shares the program memo, the input-fingerprint
+    registry, the cache, the memory manager and the reuse oracle with
+    :meth:`run`.
+    """
 
     def __init__(self, config: LimaConfig | None = None, seed: int = 42):
         self.config = config or LimaConfig.base()
@@ -145,15 +154,13 @@ class LimaSession:
                                           seed=seed)
         else:
             self.verifier = None
-        if self.config.buffer_pool_enabled:
-            from repro.runtime.bufferpool import BufferPool
-            self.buffer_pool = BufferPool(memory=self.memory)
-        else:
-            self.buffer_pool = None
         self.output: list[str] = []
         self._programs: dict[str, Program] = {}
+        self._compile_lock = threading.Lock()
         self._run_counter = 0
-        self._input_items: dict[int, tuple[tuple, LineageItem]] = {}
+        #: (name, id(value.data)) -> (value.data, leaf item); the held
+        #: array keeps its id from being recycled
+        self._input_items: dict[tuple, tuple[object, LineageItem]] = {}
         self._profiler = None
 
     def attach_profiler(self, profiler) -> None:
@@ -174,11 +181,19 @@ class LimaSession:
     # ------------------------------------------------------------------
 
     def compile(self, script: str) -> Program:
-        """Compile (and memoize) a script under this session's config."""
+        """Compile (and memoize) a script under this session's config.
+
+        Every caller gets the same :class:`Program` object, so block-level
+        reuse keys (which embed ``id(block)``) line up across runs and
+        across concurrent service sessions.
+        """
         program = self._programs.get(script)
         if program is None:
-            program = compile_script(script, self.config)
-            self._programs[script] = program
+            with self._compile_lock:
+                program = self._programs.get(script)
+                if program is None:
+                    program = compile_script(script, self.config)
+                    self._programs[script] = program
         return program
 
     def run(self, script: str, inputs: dict | None = None,
@@ -195,53 +210,77 @@ class LimaSession:
         :class:`~repro.errors.DeadlineExceeded` /
         :class:`~repro.errors.SessionCancelled` when it trips.
         """
-        program = self.compile(script)
         self._run_counter += 1
         base_seed = (seed if seed is not None
                      else self.seed * 1_000_003 + self._run_counter)
-        interpreter = Interpreter(program, self.config, cache=self.cache,
-                                  output=self.output, base_seed=base_seed,
-                                  pool=self.buffer_pool, memory=self.memory,
-                                  resilience=self.resilience,
+        if budget is not None:
+            budget.start()
+        stdout_start = len(self.output)
+        ctx = self.execute(script, inputs, seed=base_seed, output=self.output,
+                           budget=budget, profiler=self._profiler)
+        return RunResult(ctx, stdout_start)
+
+    def execute(self, script: str, inputs: dict | None, *, seed: int,
+                output: list[str], budget=None, passthrough: bool = False,
+                profiler=None) -> ExecutionContext:
+        """Run one script on the shared core; safe to call concurrently.
+
+        ``passthrough`` runs without the cache, the memory budget and the
+        buffer pool.  ``budget`` is activated on this thread for the run
+        but not started: its owner decides when the clock starts.  A
+        tripped budget's :class:`~repro.errors.SessionAborted` carries the
+        lineage of everything the run defined before it stopped.
+        ``profiler`` receives per-opcode timings only; cache counters
+        reach the profiler given to :meth:`attach_profiler`.
+        """
+        program = self.compile(script)
+        cache = None if passthrough else self.cache
+        memory = None if passthrough else self.memory
+        pool = (BufferPool(memory=memory)
+                if memory is not None and self.config.buffer_pool_enabled
+                else None)
+        interpreter = Interpreter(program, self.config, cache=cache,
+                                  output=output, base_seed=seed, pool=pool,
+                                  memory=memory, resilience=self.resilience,
                                   verifier=self.verifier, budget=budget)
-        if self._profiler is not None:
-            interpreter.attach_profiler(self._profiler)
-        bindings = {}
+        interpreter.profiler = profiler
+        ctx = interpreter.new_root_context()
         for name, obj in (inputs or {}).items():
             value = wrap(obj)
             item = self._input_item(name, value)
-            bindings[name] = (value, item)
-            # inputs double as the base of the recovery log: lineage
-            # recomputation re-binds its input leaves from here
+            ctx.symbols.set(name, value)
+            if self.config.lineage:
+                ctx.lineage.set(name, item)
+            # inputs double as the base of the recovery log; the
+            # digest-keyed token keeps recovery correct when sessions
+            # bind different arrays to one name
             self.resilience.register_input(name, value, token=item.data)
-        stdout_start = len(self.output)
-        if budget is None:
-            ctx = interpreter.run(bindings)
-        else:
-            from repro.service.budget import activate_budget
-            budget.start()
-            previous = activate_budget(budget)
-            try:
-                ctx = interpreter.run(bindings)
-            finally:
-                activate_budget(previous)
-        return RunResult(ctx, stdout_start)
+        previous = activate_budget(budget)
+        try:
+            interpreter.execute_blocks(ctx, program.blocks)
+        except SessionAborted as exc:
+            # temporaries excluded: the replayable partial work
+            exc.partial_lineage = {
+                name: item for name, item in ctx.lineage._map.items()
+                if not name.startswith("_t")}
+            raise
+        finally:
+            activate_budget(previous)
+        return ctx
 
     def _input_item(self, name: str, value: Value) -> LineageItem:
-        """Content-fingerprinted leaf lineage item for a session input."""
-        if isinstance(value, MatrixValue):
-            # cache fingerprints per array object; hold a reference so ids
-            # cannot be recycled by the garbage collector
-            key = id(value.data)
-            cached = self._input_items.get(key)
-            if cached is not None and cached[0] is value.data:
-                existing = cached[1]
-                if existing.data.split(":", 1)[0] == name:
-                    return existing
-            item = input_leaf_item(name, value)
-            self._input_items[key] = (value.data, item)
-            return item
-        return input_leaf_item(name, value)
+        """Content-fingerprinted leaf lineage item, memoized per
+        (name, matrix array object)."""
+        if not isinstance(value, MatrixValue):
+            return input_leaf_item(name, value)
+        data = value.data
+        key = (name, id(data))
+        cached = self._input_items.get(key)
+        if cached is not None and cached[0] is data:
+            return cached[1]
+        item = input_leaf_item(name, value)
+        self._input_items[key] = (data, item)
+        return item
 
     # ------------------------------------------------------------------
 

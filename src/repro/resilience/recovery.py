@@ -83,15 +83,26 @@ class ResilienceManager:
             if token is not None and token != name:
                 self._inputs[token] = value
 
-    def register_inputs(self, mapping) -> None:
-        with self._lock:
-            self._inputs.update(mapping)
+    def bound_inputs(self, item) -> dict:
+        """The ``inputs`` mapping that replays ``item``'s trace.
 
-    def inputs_snapshot(self) -> dict:
-        """The registered session inputs (for out-of-band recomputation,
-        e.g. the reuse-correctness oracle)."""
-        with self._lock:
-            return dict(self._inputs)
+        Each ``input`` leaf is bound by its content-fingerprinted token
+        first: under the concurrent service, several sessions may bind
+        different arrays to one name.  Raises :class:`LimaError` for a
+        leaf whose input was never registered.
+        """
+        inputs = {}
+        for node in item.iter_dag():
+            if node.opcode == "input":
+                name = node.data.split(":", 1)[0]
+                with self._lock:
+                    value = self._inputs.get(node.data,
+                                             self._inputs.get(name))
+                if value is None:
+                    raise LimaError(f"input {name!r} is not registered "
+                                    "for lineage recovery")
+                inputs[name] = value
+        return inputs
 
     # ------------------------------------------------------------------
     # spill-read retry (transient errors only)
@@ -145,23 +156,7 @@ class ResilienceManager:
             return None
         from repro.lineage.reconstruct import recompute
         try:
-            inputs = {}
-            for node in item.iter_dag():
-                if node.opcode == "input":
-                    name = node.data.split(":", 1)[0]
-                    with self._lock:
-                        # prefer the content-fingerprinted token: under
-                        # the concurrent service, several sessions may
-                        # bind different arrays to the same name
-                        if node.data in self._inputs:
-                            inputs[name] = self._inputs[node.data]
-                        elif name in self._inputs:
-                            inputs[name] = self._inputs[name]
-                        else:
-                            raise LimaError(
-                                f"input {name!r} is not registered for "
-                                "lineage recovery")
-            value = recompute(item, inputs)
+            value = recompute(item, self.bound_inputs(item))
         except Exception:
             self.stats.recompute_failures += 1
             return None

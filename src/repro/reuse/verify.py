@@ -107,16 +107,10 @@ class ReuseVerifier:
     # ------------------------------------------------------------------
 
     def _recompute(self, root):
-        inputs = {}
-        registered = None
+        # the recovery ladder's input-binding rule, without its counters:
+        # oracle replays are not recoveries
         try:
-            for node in root.iter_dag():
-                if node.opcode == "input":
-                    if registered is None:
-                        registered = self.resilience.inputs_snapshot()
-                    name = node.data.split(":", 1)[0]
-                    inputs[name] = registered[name]
-            return recompute(root, inputs)
+            return recompute(root, self.resilience.bound_inputs(root))
         except Exception:
             return None
 

@@ -30,6 +30,7 @@ from repro.errors import LimaRuntimeError
 from repro.lineage.dedup import DedupTracker, make_dedup_items
 from repro.lineage.item import LineageItem, traced_item
 from repro.lineage.lmap import LineageMap
+from repro.resilience.recovery import ResilienceManager
 from repro.reuse.cache import LineageCache
 from repro.reuse.multilevel import (block_call_item, block_output_item,
                                     function_call_item, function_output_item)
@@ -60,7 +61,13 @@ def _before(pre, handler):
 
 
 class Interpreter:
-    """Executes a compiled :class:`Program` under a :class:`LimaConfig`."""
+    """Executes a compiled :class:`Program` under a :class:`LimaConfig`.
+
+    The interpreter builds none of the shared machinery: the lineage
+    cache, memory manager, buffer pool and reuse oracle are the ones it
+    is given (``None`` means none; :class:`~repro.api.LimaSession` owns
+    them).  Only the resilience manager has a private default.
+    """
 
     def __init__(self, program: Program, config: LimaConfig,
                  cache: LineageCache | None = None,
@@ -75,12 +82,7 @@ class Interpreter:
         #: compiled into the dispatch handlers only when one is armed,
         #: so unbudgeted runs keep the bare hot path
         self.budget = budget
-        if cache is not None:
-            self.cache = cache
-        elif config.reuse_enabled:
-            self.cache = LineageCache(config, memory=memory)
-        else:
-            self.cache = None
+        self.cache = cache
         self.output = output if output is not None else []
         self.base_seed = base_seed
         # scalar value-numbering: when reuse is on, a computed scalar's
@@ -89,39 +91,14 @@ class Interpreter:
         # computed — this is what lets lmDS calls with the same (reg,
         # icpt) reuse across different tol configs (paper Section 2.3)
         self._scalarize = config.reuse_enabled
-        # one memory manager spans the cache and (when enabled) the
-        # buffer pool, so both draw on the same budget and spill backend
-        if memory is None and self.cache is not None:
-            memory = self.cache.memory
-        if pool is not None:
-            self.buffer_pool = pool
-        elif config.buffer_pool_enabled:
-            from repro.memory.manager import MemoryManager
-            from repro.runtime.bufferpool import BufferPool
-            if memory is None:
-                memory = MemoryManager(config)
-            self.buffer_pool = BufferPool(memory=memory)
-        else:
-            self.buffer_pool = None
+        self.buffer_pool = pool
         self.memory = memory
-        # one resilience manager (fault injector + recovery policies +
-        # stats) spans the interpreter and the memory subsystem
-        if resilience is None:
-            if memory is not None:
-                resilience = memory.resilience
-            else:
-                from repro.resilience.recovery import ResilienceManager
-                resilience = ResilienceManager(config)
-        self.resilience = resilience
-        # reuse-correctness oracle: recompute a sampled fraction of reuse
-        # hits from their lineage trace and compare (config.verify_reuse)
-        if (verifier is None and config.verify_reuse > 0
-                and self.cache is not None):
-            from repro.reuse.verify import ReuseVerifier
-            verifier = ReuseVerifier(config, self.resilience, seed=base_seed)
+        self.resilience = (resilience if resilience is not None
+                           else ResilienceManager(config))
+        #: reuse-correctness oracle checking sampled hits (verify_reuse)
         self.verifier = verifier
         #: armed exec.instruction fault site (None = zero-cost hot path)
-        self._exec_site = resilience.site("exec.instruction")
+        self._exec_site = self.resilience.site("exec.instruction")
         # dedup trackers persist per loop block, so re-entering a loop
         # (e.g. per epoch) reuses its lineage patches instead of re-tracing
         self._dedup_trackers: dict[int, DedupTracker] = {}
@@ -131,12 +108,6 @@ class Interpreter:
         #: optional OpProfiler recording per-opcode counts and times
         self.profiler = None
 
-    def attach_profiler(self, profiler) -> None:
-        """Record per-opcode timings (and cache outcomes) into a profiler."""
-        self.profiler = profiler
-        if self.cache is not None:
-            self.cache.stats.attach_profiler(profiler)
-
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
@@ -145,17 +116,6 @@ class Interpreter:
         return ExecutionContext(self,
                                 seeds=SeedSource(self.base_seed),
                                 output=self.output)
-
-    def run(self, bindings: dict[str, tuple[Value, LineageItem]]
-            | None = None) -> ExecutionContext:
-        """Execute the program; returns the final root context."""
-        ctx = self.new_root_context()
-        for name, (value, item) in (bindings or {}).items():
-            ctx.symbols.set(name, value)
-            if self.config.lineage:
-                ctx.lineage.set(name, item)
-        self.execute_blocks(ctx, self.program.blocks)
-        return ctx
 
     # ------------------------------------------------------------------
     # block dispatch

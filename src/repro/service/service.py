@@ -4,12 +4,16 @@ A :class:`Service` runs DML scripts concurrently against **one** shared
 :class:`~repro.reuse.cache.LineageCache` and
 :class:`~repro.memory.manager.MemoryManager` — the multi-tenant setting
 of paper Sections 2.3/4.5 (a reuse cache shared across exploratory
-sessions).  Each session gets an isolated symbol table, execution
-context, print buffer, and seed source; only the cache, memory budget,
-resilience manager, and compiled-program memo are shared.  Sharing the
-compiled :class:`Program` is deliberate: block-level reuse keys embed
-``id(block)``, so two sessions running the same script hit each other's
-block-level entries only when they execute the *same* program object.
+sessions).  A service is one :class:`~repro.api.LimaSession` core plus a
+queue, worker threads, admission control and session handles: workers
+run every session through :meth:`LimaSession.execute`.  Each session
+gets an isolated symbol table, execution context, print buffer, and seed
+source; the cache, memory budget, resilience manager, reuse oracle,
+compiled-program memo and input-fingerprint registry belong to the core.
+Sharing the compiled :class:`Program` is deliberate: block-level reuse
+keys embed ``id(block)``, so two sessions running the same script hit
+each other's block-level entries only when they execute the *same*
+program object.
 
 Robustness properties:
 
@@ -26,8 +30,8 @@ Robustness properties:
 * **Admission control** — a bounded queue gives natural backpressure;
   under *sustained* memory pressure (``pressure_sustained`` consecutive
   submissions observing ``memory.pressure() >= pressure_high_water``)
-  new sessions are degraded to per-session pass-through caching (the
-  PR-3 :class:`~repro.errors.ResilienceWarning` path) and a full queue
+  new sessions are degraded to pass-through: no cache, no memory budget
+  (the :class:`~repro.errors.ResilienceWarning` path) and a full queue
   rejects instead of blocking.  The ``service.admit`` /
   ``service.cancel`` fault points make both paths chaos-testable.
 * **Graceful shutdown** — stop admitting, drain in-flight sessions (or
@@ -41,18 +45,16 @@ import threading
 import time
 import warnings
 
-from repro.api import RunResult, input_leaf_item
-from repro.compiler import compile_script
+from repro.api import LimaSession, RunResult
+# re-exported, not called: sessions compile through repro.api's global,
+# and span tracers patch this name alongside that one
+from repro.compiler import compile_script  # noqa: F401
 from repro.config import LimaConfig
-from repro.data.values import wrap
 from repro.errors import (ResilienceWarning, ServiceClosedError,
                           ServiceOverloadedError, SessionAborted,
                           SessionCancelled)
-from repro.memory.manager import MemoryManager
-from repro.resilience.recovery import ResilienceManager
-from repro.reuse.cache import LineageCache
-from repro.runtime.interpreter import Interpreter
-from repro.service.budget import RequestBudget, activate_budget
+from repro.runtime.profiler import OpProfiler
+from repro.service.budget import RequestBudget
 from repro.service.stats import ServiceStats, SessionStats
 
 _STOP = object()
@@ -148,9 +150,12 @@ class Service:
                  pressure_high_water: float = 0.95,
                  pressure_sustained: int = 3,
                  persist_path: str | None = None):
-        config = config or LimaConfig.hybrid()
-        config.validate()
-        self.config = config
+        self._core = LimaSession(config or LimaConfig.hybrid(), seed=seed)
+        self.config = self._core.config
+        self.resilience = self._core.resilience
+        self.memory = self._core.memory
+        self.cache = self._core.cache
+        self.verifier = self._core.verifier
         self.seed = seed
         self.default_deadline = default_deadline
         self.default_max_instructions = default_max_instructions
@@ -158,23 +163,12 @@ class Service:
         self.pressure_sustained = max(1, int(pressure_sustained))
         self.persist_path = persist_path
         self.stats = ServiceStats()
-
-        self.resilience = ResilienceManager(config)
-        if config.reuse_enabled or config.buffer_pool_enabled:
-            self.memory = MemoryManager(config, resilience=self.resilience)
-        else:
-            self.memory = None
-        self.cache = (LineageCache(config, memory=self.memory)
-                      if config.reuse_enabled else None)
         self._admit_site = self.resilience.site("service.admit")
         self._cancel_site = self.resilience.site("service.cancel")
 
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._sessions: dict[str, SessionHandle] = {}
-        self._programs: dict[str, object] = {}
-        self._compile_lock = threading.Lock()
-        self._input_items: dict = {}
         self._session_counter = 0
         self._pressure_streak = 0
         self._closed = False
@@ -213,12 +207,7 @@ class Service:
         completes, so concurrent sessions never race on the counters.
         """
         self._profiler = profiler
-        if profiler is not None:
-            if self.cache is not None:
-                self.cache.stats.attach_profiler(profiler)
-            if self.memory is not None:
-                profiler.memory_stats = self.memory.stats
-            profiler.resilience_stats = self.resilience.stats
+        self._core.attach_profiler(profiler)
 
     def shutdown(self, drain: bool = True,
                  timeout: float | None = None) -> None:
@@ -397,39 +386,6 @@ class Service:
                     handle.stats.outcome = "error"
                     handle._finish(error=exc)
 
-    def _compile(self, script: str):
-        """Compile (and memoize) a script; the Program is shared across
-        sessions so block-level reuse keys line up (see module docs)."""
-        program = self._programs.get(script)
-        if program is None:
-            with self._compile_lock:
-                program = self._programs.get(script)
-                if program is None:
-                    program = compile_script(script, self.config)
-                    self._programs[script] = program
-        return program
-
-    def _bindings(self, handle: SessionHandle) -> dict:
-        bindings = {}
-        for name, obj in handle.inputs.items():
-            value = wrap(obj)
-            key = (name, id(value.data)) \
-                if hasattr(value, "data") else None
-            item = None
-            if key is not None:
-                cached = self._input_items.get(key)
-                if cached is not None and cached[0] is value.data:
-                    item = cached[1]
-            if item is None:
-                item = input_leaf_item(name, value)
-                if key is not None:
-                    self._input_items[key] = (value.data, item)
-            bindings[name] = (value, item)
-            # shared recovery log: the digest-keyed token keeps recovery
-            # correct when sessions bind different arrays to one name
-            self.resilience.register_input(name, value, token=item.data)
-        return bindings
-
     def _execute(self, handle: SessionHandle) -> None:
         budget = handle.budget
         stats = handle.stats
@@ -438,39 +394,18 @@ class Service:
             self.stats.queue_wait_total += stats.queue_wait
             self.stats.queue_wait_max = max(self.stats.queue_wait_max,
                                             stats.queue_wait)
-        output: list[str] = []
-        session_profiler = None
-        cache = None if handle.passthrough else self.cache
+        # timings only: cache counters flow into the master profiler
+        # under the cache lock (see attach_profiler)
+        session_profiler = OpProfiler() if self._profiler is not None else None
         label_prev = (self.cache.set_session(handle.session_id)
                       if self.cache is not None else None)
-        budget_prev = activate_budget(budget)
         started = time.perf_counter()
-        ctx = None
         try:
             budget.check()  # fail fast: cancelled/expired while queued
-            program = self._compile(handle.script)
-            pool = None
-            if cache is not None and self.config.buffer_pool_enabled:
-                from repro.runtime.bufferpool import BufferPool
-                pool = BufferPool(memory=self.memory)
-            interpreter = Interpreter(
-                program, self.config, cache=cache, output=output,
-                base_seed=handle.seed, pool=pool,
-                memory=self.memory if cache is not None else None,
-                resilience=self.resilience, budget=budget)
-            if self._profiler is not None:
-                from repro.runtime.profiler import OpProfiler
-                session_profiler = OpProfiler()
-                # timings only: cache counters flow into the master
-                # profiler under the cache lock (see attach_profiler)
-                interpreter.profiler = session_profiler
-            bindings = self._bindings(handle)
-            ctx = interpreter.new_root_context()
-            for name, (value, item) in bindings.items():
-                ctx.symbols.set(name, value)
-                if self.config.lineage:
-                    ctx.lineage.set(name, item)
-            interpreter.execute_blocks(ctx, program.blocks)
+            ctx = self._core.execute(
+                handle.script, handle.inputs, seed=handle.seed, output=[],
+                budget=budget, passthrough=handle.passthrough,
+                profiler=session_profiler)
             stats.outcome = "ok"
             stats.run_time = time.perf_counter() - started
             stats.instructions = budget.instructions
@@ -479,7 +414,6 @@ class Service:
                 self.stats.completed += 1
             handle._finish(result=SessionResult(ctx, 0, stats))
         except SessionAborted as exc:
-            exc.partial_lineage = self._partial_lineage(ctx)
             stats.outcome = ("cancelled"
                             if isinstance(exc, SessionCancelled)
                             else "deadline")
@@ -500,21 +434,11 @@ class Service:
                 self.stats.failed += 1
             handle._finish(error=exc)
         finally:
-            activate_budget(budget_prev)
             if self.cache is not None:
                 self.cache.set_session(label_prev)
             if session_profiler is not None:
                 with self._lock:
                     self._profiler.merge(session_profiler)
-
-    @staticmethod
-    def _partial_lineage(ctx) -> dict:
-        """Lineage traces of everything the session defined before it
-        aborted (temporaries excluded) — its replayable partial work."""
-        if ctx is None:
-            return {}
-        return {name: item for name, item in ctx.lineage._map.items()
-                if not name.startswith("_t")}
 
     # ------------------------------------------------------------------
     # introspection

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro import LimaConfig, LimaSession
+from repro.api import input_leaf_item
 from repro.cli import build_parser
-from repro.data.values import MatrixValue
+from repro.data.values import MatrixValue, wrap
 from repro.errors import ReuseVerificationError
 from repro.lineage.item import LineageItem
 from repro.reuse.cache import LineageCache
@@ -97,10 +98,29 @@ def test_env_poisoning_raises_too(monkeypatch, poisoned_cache):
         session.run(PROGRAM, inputs={}, seed=7)
 
 
+def test_oracle_rebinds_inputs_by_content_token():
+    """Another binding of the name ``X`` (as a concurrent service session
+    makes) must not turn a correct value into a false mismatch: the
+    oracle binds input leaves by their content token, as recovery does."""
+    rng = np.random.default_rng(5)
+    A, B = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+    session = LimaSession(LimaConfig.hybrid().with_(verify_reuse=1.0))
+    r = session.run("S = t(X) %*% X;", inputs={"X": A})
+    other = wrap(B)
+    session.resilience.register_input(
+        "X", other, token=input_leaf_item("X", other).data)
+    session.verifier.check("full", r.lineage("S"), r.value("S"))
+    assert session.verifier.stats.checks == 1
+    assert session.verifier.stats.mismatches == 0
+    # recovery binds the same way
+    recovered = session.resilience.recompute_item(r.lineage("S"))
+    np.testing.assert_array_equal(recovered.data, r.get("S"))
+
+
 def test_rate_sampling_skips():
     class _NoResilience:
         @staticmethod
-        def inputs_snapshot():
+        def bound_inputs(item):
             return {}
 
     config = LimaConfig.full().with_(verify_reuse=0.25)
@@ -122,7 +142,7 @@ def test_rate_sampling_skips():
 def test_unreplayable_traces_are_counted_not_raised():
     class _NoResilience:
         @staticmethod
-        def inputs_snapshot():
+        def bound_inputs(item):
             return {}
 
     config = LimaConfig.full().with_(verify_reuse=1.0)

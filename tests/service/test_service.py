@@ -199,6 +199,10 @@ class TestService:
             assert c.passthrough
             assert c.stats.passthrough
             assert svc.service_stats().passthrough_sessions == 1
+            # pass-through sheds memory: no private cache or budget
+            interpreter = c.result(30)._ctx.interpreter
+            assert interpreter.cache is None
+            assert interpreter.memory is None
         finally:
             svc.shutdown()
 
@@ -250,6 +254,18 @@ class TestService:
             with pytest.raises(SessionAborted):
                 handle.result(timeout=10)
 
+    def test_one_verifier_spans_sessions(self, X):
+        svc = Service(LimaConfig.hybrid().with_(verify_reuse=1.0),
+                      workers=2, seed=7)
+        try:
+            for _ in range(2):
+                result = svc.run(SHARED_SCRIPT, {"X": X}, result_timeout=30)
+                assert result._ctx.interpreter.verifier is svc.verifier
+            assert svc.verifier.stats.checks > 0
+            assert svc.verifier.stats.mismatches == 0
+        finally:
+            svc.shutdown()
+
     def test_cache_persists_across_restarts(self, tmp_path, X):
         path = str(tmp_path / "service.cache")
         with Service(LimaConfig.hybrid(), workers=2, seed=7,
@@ -282,6 +298,14 @@ class TestSessionApiBudget:
         with pytest.raises(DeadlineExceeded):
             lima_session.run(UNBOUNDED, budget=budget)
         assert time.perf_counter() - start < 1.0
+
+    def test_aborted_run_carries_partial_lineage(self, lima_session):
+        script = "a = 5.0;\nb = a * 2.0;\n" + UNBOUNDED
+        with pytest.raises(DeadlineExceeded) as exc:
+            lima_session.run(script,
+                             budget=RequestBudget(max_instructions=500))
+        assert "a" in exc.value.partial_lineage
+        assert "b" in exc.value.partial_lineage
 
     def test_unbudgeted_run_unaffected(self, lima_session):
         result = lima_session.run("y = 1.0 + 2.0; print(y);")

@@ -30,9 +30,7 @@ class TestSessionBasics:
     def test_program_compiled_once(self, small_x):
         sess = LimaSession(LimaConfig.base())
         sess.run("out = sum(X);", inputs={"X": small_x})
-        p1 = sess._programs["out = sum(X);"]
-        sess.run("out = sum(X);", inputs={"X": small_x})
-        assert sess._programs["out = sum(X);"] is p1
+        assert sess.compile("out = sum(X);") is sess.compile("out = sum(X);")
 
     def test_config_validated(self):
         with pytest.raises(ValueError):
