@@ -193,8 +193,9 @@ def test_fig8b_policies_agree_numerically(minibatch_data):
 #   python benchmarks/bench_fig8_eviction.py --quick
 #
 # Quick mode shrinks the phases pipeline and exits non-zero when Cost&Size
-# misses its reuse floor — a cheap CI regression gate for the eviction
-# engine.
+# misses its reuse floor or runs more than 100 pressure events (one
+# scoring pass per admit instead of per pressure episode) — a cheap CI
+# regression gate for the eviction engine.
 # ---------------------------------------------------------------------------
 
 _QUICK_BUDGET = 1024 * 1024
@@ -244,6 +245,13 @@ def run_standalone(quick=True):
         failures.append(
             f"C&S reuse floor missed: {policy_hits['C&S']} hits < 300 "
             "(expected P2 re-admission + P3 multiply hits)")
+    # C&S ran last, so sess is its session; evicting to the low-water
+    # mark makes one scoring pass serve many admits
+    pressure = sess.memory.stats.pressure_events
+    if quick and pressure > 100:
+        failures.append(
+            f"C&S pressure ceiling exceeded: {pressure} events > 100 "
+            "(eviction stops at the budget instead of the low-water mark)")
 
     for failure in failures:
         print(f"REGRESSION: {failure}")

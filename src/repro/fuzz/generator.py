@@ -343,7 +343,7 @@ class ProgramGenerator:
         """A scalar comparison over an elementwise chain, printed.  Fusion
         folds the chain into one template rooted in the comparison, whose
         result must stay a boolean (``TRUE``/``FALSE``) as unfused.  The
-        boolean stays out of ``env``: base cannot subtract two booleans."""
+        boolean joins ``env``, so later arithmetic takes it as 0/1."""
         a, b = self.scalar_expr(env, 1), self.scalar_expr(env, 1)
         op = self.rng.choice(["+", "-", "*"])
         test = self.rng.choice([">", "<", ">=", "<=", "==", "!="])
@@ -353,6 +353,7 @@ class ProgramGenerator:
         name = self._fresh("c")
         body.append(Raw(f"{name} = {expr};"))
         body.append(Raw(f"print({name});"))
+        env[name] = SCALAR
 
     def _stmt_if(self, env: dict, body: list, depth: int) -> None:
         """Both branches assign the same targets with the same shapes."""

@@ -39,6 +39,10 @@ from repro.reuse.eviction import get_policy
 from repro.reuse.stats import MemoryStats
 from repro.memory.spill import SpillBackend
 
+#: share of the budget that recomputable cache entries are evicted down
+#: to once pressure hits, so one scoring pass serves many admits
+LOW_WATER = 0.8
+
 
 class MemoryRegion:
     """A memory region under the manager's budget (cache, buffer pool).
@@ -211,13 +215,18 @@ class MemoryManager:
     # ------------------------------------------------------------------
 
     def evict_to_fit(self) -> int:
-        """Evict across all regions until the budget holds.
+        """Evict across all regions from one sorted snapshot per
+        pressure event.
 
         Candidates from every region are ranked together by the
         configured policy score (ties broken by last access, so live
-        variables — all ∞ under Cost&Size — spill in LRU order).  Each
-        eviction may free nothing when the object is aliased elsewhere;
-        the loop re-checks the deduplicated total after every victim.
+        variables — all ∞ under Cost&Size — spill in LRU order).
+        Recomputable cache entries are evicted down to the low-water
+        mark (``LOW_WATER * budget``), so the next admits fit without
+        another scoring pass; live variables spill only down to the
+        budget, since spilling them early costs real I/O.  Each eviction
+        may free nothing when the object is aliased elsewhere; the loop
+        re-checks the deduplicated total before every victim.
         """
         with self.lock:
             if self.degraded or self._total <= self.budget:
@@ -234,8 +243,10 @@ class MemoryManager:
                                        len(candidates), region, cand))
             candidates.sort(key=lambda entry: entry[:3])
             evicted = 0
+            low_water = LOW_WATER * self.budget
             for _, _, _, region, cand in candidates:
-                if self._total <= self.budget:
+                if self._total <= (self.budget if cand.compute_time is None
+                                   else low_water):
                     break
                 try:
                     if region.evict(cand, self.should_spill(cand)):

@@ -47,7 +47,13 @@ def evaluate_template(template, inputs: list) -> np.ndarray | float:
     row = OPS.get(kind)
     if row is None or not row.elementwise:
         raise LimaRuntimeError(f"unfusable opcode {kind!r}")
-    return row.fn(*[evaluate_template(c, inputs) for c in template[1:]])
+    result = row.fn(*[evaluate_template(c, inputs) for c in template[1:]])
+    if row.bool_result:
+        # comparisons and logicals feed their parent as 0/1 doubles, as
+        # unfused values do (NumPy bools would add as a logical or)
+        return (result.astype(np.float64) if isinstance(result, np.ndarray)
+                else float(result))
+    return result
 
 
 def _evaluate_values(template, inputs: list[Value]) -> Value:

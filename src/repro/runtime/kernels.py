@@ -26,11 +26,16 @@ from repro.errors import LimaRuntimeError, LimaValueError
 
 
 def _num(value: Value):
-    """Numeric payload of a value: ndarray for matrices, float for scalars."""
+    """Numeric payload of a value: ndarray for matrices, float for scalars.
+
+    Booleans promote to 0/1 doubles, as in R: NumPy would otherwise treat
+    ``TRUE + TRUE`` as a logical or and reject ``TRUE - TRUE``.
+    """
     if isinstance(value, MatrixValue):
         return value.data
     if isinstance(value, ScalarValue):
-        return value.value
+        v = value.value
+        return float(v) if isinstance(v, bool) else v
     raise LimaValueError(f"expected matrix or scalar, got {value.kind}")
 
 

@@ -1,5 +1,6 @@
-"""Unit tests of the unified memory manager's charge ledger and budget
-resolution (alias-deduplicated accounting, deprecated config aliases)."""
+"""Unit tests of the unified memory manager's charge ledger, budget
+resolution (alias-deduplicated accounting, deprecated config aliases) and
+low-water-mark eviction."""
 
 import gc
 
@@ -8,7 +9,12 @@ import pytest
 
 from repro.config import LimaConfig
 from repro.data.values import MatrixValue
+from repro.lineage.item import LineageItem
 from repro.memory import MemoryManager
+from repro.memory.manager import LOW_WATER
+from repro.reuse.cache import LineageCache
+from repro.runtime.bufferpool import BufferPool
+from repro.runtime.context import SymbolTable
 
 MB = 1024 * 1024
 
@@ -88,3 +94,36 @@ class TestBudgetResolution:
         mgr = MemoryManager(cfg)
         assert mgr.budget == 7 * MB
         assert mgr.spill is False
+
+
+class TestLowWaterMark:
+    KB64 = 64 * 1024
+
+    def small(self, fill=1.0):
+        return MatrixValue(np.full((64, 128), fill))  # 64 KiB
+
+    def test_cache_evicts_to_low_water_in_one_event(self):
+        budget = MB
+        cfg = LimaConfig.hybrid().with_(memory_budget=budget)
+        mgr = MemoryManager(cfg)
+        cache = LineageCache(cfg, memory=mgr)
+        i = 0
+        while mgr.stats.pressure_events == 0:
+            i += 1
+            key = LineageItem("tsmm", [LineageItem("input", (), f"e{i}")])
+            cache.put(key, self.small(float(i)), None, 0.001)
+        assert i == budget // self.KB64 + 1  # the first admit past budget
+        assert mgr.stats.pressure_events == 1
+        assert mgr.total <= LOW_WATER * budget
+        assert mgr.stats.evictions_deleted >= 4
+
+    def test_live_variables_spill_only_to_budget(self):
+        pool = BufferPool(budget=MB)
+        table = SymbolTable(pool=pool)
+        for i in range(MB // self.KB64 + 1):
+            table.set(f"v{i}", self.small(float(i)))
+        # one spill makes room: no early spills down to the low-water mark
+        assert pool.spills == 1
+        assert pool.memory.total == MB
+        assert pool.memory.total > LOW_WATER * MB
+        pool.close()

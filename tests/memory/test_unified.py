@@ -152,7 +152,7 @@ class TestPoliciesUnderSpilling:
         assert statuses[cheap] in ("evicted", "spilled")
 
     def test_lru_evicts_oldest_across_regions(self):
-        mgr, cache, pool = unified(2 * MB, policy="lru")
+        mgr, cache, pool = unified(2 * MB + MB // 2, policy="lru")
         self.expensive_fill(cache, ["a", "b"])
         cache.probe(key("a", height=1), count=False)  # refresh a
         cache.put(key("c"), mat(), None, 100.0)
@@ -238,6 +238,32 @@ class TestEndToEnd:
         stats = sess.memory_stats
         assert stats.peak_bytes > 0
         assert stats.pressure_events > 0
+
+    CHURN_SCRIPT = """
+    total = 0;
+    for (i in 1:250) {
+      G = t(X) %*% X;
+      M = X * i + sum(G);
+      total = total + as.scalar(M[1, 1]);
+    }
+    out = total;
+    """
+
+    def test_churn_evicts_many_victims_per_pressure_event(self):
+        # 250 iterations admit two distinct 64 KiB intermediates each,
+        # well over 200 of them past the 4 MiB budget; evicting to the
+        # low-water mark makes each pressure event free room for many
+        # admits instead of one
+        x = np.random.default_rng(3).standard_normal((64, 128))
+        base = LimaSession(LimaConfig.base()).run(
+            self.CHURN_SCRIPT, inputs={"X": x}, seed=5).get("out")
+        sess = LimaSession(LimaConfig.hybrid().with_(memory_budget=4 * MB))
+        got = sess.run(self.CHURN_SCRIPT, inputs={"X": x}, seed=5).get("out")
+        assert got == base
+        stats = sess.memory_stats
+        assert stats.pressure_events * 10 <= stats.evictions_deleted
+        # the loop-invariant t(X) and tsmm hit in iterations 2..250
+        assert sess.stats.hits == 498
 
     def test_memory_stats_flow_into_profiler(self, rng):
         from repro.runtime.profiler import OpProfiler
