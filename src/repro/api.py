@@ -52,8 +52,10 @@ def input_leaf_item(name: str, value: Value) -> LineageItem:
     memoizes fingerprints per (name, array object) on top of this.
     """
     if isinstance(value, MatrixValue):
+        # hashes the C-order buffer in place: the same bytes as
+        # ``tobytes()``, without copying an already-contiguous input
         digest = hashlib.sha1(
-            np.ascontiguousarray(value.data).tobytes()).hexdigest()[:16]
+            np.ascontiguousarray(value.data)).hexdigest()[:16]
         return LineageItem("input", (), f"{name}:{digest}")
     if isinstance(value, FrameValue):
         payload = "\x1f".join(str(cell) for cell in value.data.ravel())

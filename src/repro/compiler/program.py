@@ -40,6 +40,11 @@ class BasicBlock(ProgramBlock):
     #: eligible for block-level reuse probing (set by the compiler for
     #: blocks that are deterministic and compute-heavy)
     reuse_candidate: bool = False
+    #: compiled dispatch, built by the interpreter on first execution:
+    #: static profile -> (config, handler list).  Shared by every
+    #: interpreter that runs this program; a published entry is only
+    #: ever replaced, never mutated.
+    handlers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return f"BasicBlock(n={len(self.instructions)})"

@@ -26,7 +26,7 @@ from repro.compiler.program import (BasicBlock, ForBlock, FunctionProgram,
 from repro.config import LimaConfig
 from repro.data.values import (ListValue, ScalarValue, StringValue, Value,
                                wrap)
-from repro.errors import LimaRuntimeError
+from repro.errors import LimaRuntimeError, LimaValueError
 from repro.lineage.dedup import DedupTracker, make_dedup_items
 from repro.lineage.item import LineageItem, traced_item
 from repro.lineage.lmap import LineageMap
@@ -50,14 +50,6 @@ from repro.runtime.instructions.cp import (ComputeInstruction,
 #: dedup is skipped for bodies with more branches than this — the number
 #: of potential patches is exponential in the branch count (Section 3.2)
 _MAX_DEDUP_BRANCHES = 10
-
-
-def _before(pre, handler):
-    """Arm one per-instruction hook: ``pre(); handler(ctx)``."""
-    def run(ctx):
-        pre()
-        handler(ctx)
-    return run
 
 
 class Interpreter:
@@ -99,12 +91,14 @@ class Interpreter:
         self.verifier = verifier
         #: armed exec.instruction fault site (None = zero-cost hot path)
         self._exec_site = self.resilience.site("exec.instruction")
+        #: the per-run facts compiled into dispatch handlers besides the
+        #: config: (cache present, budget armed, fault site armed).  Runs
+        #: with equal profiles share one handler list per block.
+        self._profile = (cache is not None, budget is not None,
+                         self._exec_site is not None)
         # dedup trackers persist per loop block, so re-entering a loop
         # (e.g. per epoch) reuses its lineage patches instead of re-tracing
         self._dedup_trackers: dict[int, DedupTracker] = {}
-        # compiled dispatch: id(block) -> (instruction list, handlers);
-        # the instruction list is stored to guard against id() reuse
-        self._dispatch: dict[int, tuple[list, list]] = {}
         #: optional OpProfiler recording per-opcode counts and times
         self.profiler = None
 
@@ -205,26 +199,31 @@ class Interpreter:
                               block: BasicBlock) -> None:
         """Run a basic block's instructions through compiled dispatch.
 
-        Each block is bound once per interpreter: every instruction gets a
-        specialized handler closure with its class dispatch and static
-        config decisions pre-resolved (see :meth:`_compile_handler`).
-        Subsequent executions of the block are a flat loop of indirect
-        calls.
+        Handlers are compiled once per block and static profile (the
+        config plus :attr:`_profile`) and shared by every interpreter
+        that runs the program: every instruction gets a specialized
+        closure with its class dispatch and static config decisions
+        pre-resolved (see :func:`_compile_handler`).  Subsequent
+        executions of the block, in any session, are a flat loop of
+        indirect calls.
         """
-        cached = self._dispatch.get(id(block))
-        if cached is None or cached[0] is not block.instructions:
-            handlers = [self._compile_handler(inst)
-                        for inst in block.instructions]
-            cached = (block.instructions, handlers)
-            self._dispatch[id(block)] = cached
-        instructions, handlers = cached
+        entry = block.handlers.get(self._profile)
+        if entry is None or entry[0] is not self.config:
+            # concurrent first runs may both compile; the last writer
+            # wins and a published list is never mutated
+            entry = (self.config,
+                     [_compile_handler(inst, self.config, self._profile)
+                      for inst in block.instructions])
+            block.handlers[self._profile] = entry
+        handlers = entry[1]
+        instructions = block.instructions
         profiler = self.profiler
         if profiler is None or not profiler.enabled:
             for pos, handler in enumerate(handlers):
                 try:
                     handler(ctx)
-                except (LimaRuntimeError, ValueError, FloatingPointError,
-                        ZeroDivisionError) as exc:
+                except (LimaRuntimeError, LimaValueError, ValueError,
+                        FloatingPointError, ZeroDivisionError) as exc:
                     self._raise_located(instructions[pos], exc)
             return
         perf = time.perf_counter
@@ -233,222 +232,22 @@ class Interpreter:
             start = perf()
             try:
                 handler(ctx)
-            except (LimaRuntimeError, ValueError, FloatingPointError,
-                    ZeroDivisionError) as exc:
+            except (LimaRuntimeError, LimaValueError, ValueError,
+                    FloatingPointError, ZeroDivisionError) as exc:
                 self._raise_located(instructions[pos], exc)
             record(instructions[pos].opcode, perf() - start)
-
-    def _compile_handler(self, inst):
-        """Bind one instruction to a specialized execution closure.
-
-        The ``exec.instruction`` fault site and the session's
-        :class:`RequestBudget` are resolved here, at compile time:
-        unarmed, unbudgeted interpreters (the only kind outside chaos
-        testing and the service) get the bare handler with no
-        per-execution check at all.  With a budget, every instruction
-        boundary is a cooperative cancellation point: ``tick`` counts
-        the instruction and raises ``DeadlineExceeded`` /
-        ``SessionCancelled`` when the budget has tripped.
-        """
-        handler = self._build_handler(inst)
-        if self._exec_site is not None:
-            handler = _before(self._exec_site.fire, handler)
-        if self.budget is not None:
-            handler = _before(self.budget.tick, handler)
-        return handler
-
-    def _build_handler(self, inst):
-        """Specialize one instruction's execution closure.
-
-        Static facts — the instruction's class, whether lineage tracing is
-        configured at all, whether full reuse can ever apply to this
-        instruction under this interpreter's config — are resolved here,
-        once.  Only genuinely dynamic state (active dedup tracker, lineage
-        suppression in dedup fast mode) is checked per execution.
-        """
-        if isinstance(inst, VariableInstruction):
-            execute = inst.execute
-            return lambda ctx: execute(ctx, None)
-        if isinstance(inst, FunctionCallInstruction):
-            call = self.execute_function_call
-            return lambda ctx: call(ctx, inst)
-        if isinstance(inst, EvalInstruction):
-            call = self.execute_eval
-            return lambda ctx: call(ctx, inst)
-
-        preprocess = inst.preprocess
-        execute = inst.execute
-        is_leftindex = isinstance(inst, LeftIndexInstruction)
-        record_leftindex = self._record_leftindex
-
-        if isinstance(inst, ComputeInstruction):
-            handler = self._compile_compute_handler(inst)
-            if handler is not None:
-                return handler
-
-        if not self.config.lineage:
-            # static untraced path: no lineage, hence no reuse and no
-            # dedup; left-index updates are still recorded for parfor
-            if is_leftindex:
-                def run_untraced(ctx):
-                    execute(ctx, preprocess(ctx))
-                    if ctx.leftindex_log is not None:
-                        record_leftindex(ctx, inst, None)
-                return run_untraced
-
-            def run_plain(ctx):
-                execute(ctx, preprocess(ctx))
-            return run_plain
-
-        lineage = inst.lineage
-        is_datagen = isinstance(inst, DataGenInstruction)
-        reuse_ok = self._reuse_eligible(inst)
-        single_out = len(inst.outputs) == 1
-        full_reuse = self._execute_with_full_reuse
-        multi_reuse = self._execute_multireturn_with_reuse
-        bind = self._bind_lineage
-
-        def run_traced(ctx):
-            state = preprocess(ctx)
-            tracker = ctx.dedup_tracker
-            if is_datagen and tracker is not None and state.get("system"):
-                tracker.record_seed(state["seed"])
-            items = lineage(ctx, state) if ctx.lineage_active else None
-            if reuse_ok and items is not None and tracker is None:
-                if single_out:
-                    full_reuse(ctx, inst, state, items)
-                else:
-                    multi_reuse(ctx, inst, state, items)
-                return
-            execute(ctx, state)
-            if items:
-                for name, item in items.items():
-                    bind(ctx, name, item)
-            if is_leftindex and ctx.leftindex_log is not None:
-                record_leftindex(ctx, inst, items)
-        return run_traced
-
-    def _reuse_eligible(self, inst) -> bool:
-        """Can full reuse ever apply to ``inst`` under this config?"""
-        return (self.cache is not None and self.config.reuse_full
-                and inst.reusable and not inst.unmarked)
-
-    def _compile_compute_handler(self, inst):
-        """Fused fast path for :class:`ComputeInstruction`.
-
-        Pure n-in/1-out computations dominate elementwise workloads, so
-        their three-phase protocol (``preprocess``/``lineage``/``execute``)
-        is collapsed into one closure over prebound operand accessors and
-        the kernel.  Instructions that may go through the reuse machinery
-        keep the generic handler (``None`` is returned), as do data-gen,
-        indexing, and multi-return instructions.
-        """
-        if self._reuse_eligible(inst):
-            return None
-        opcode = inst.opcode
-        out = inst.output
-        kernel = inst.row.kernel
-        inplace_slots = inst.inplace_slots
-        execute_inplace = inst._execute_inplace
-        traced = self.config.lineage
-        scalarize = self._scalarize
-        bind = self._bind_lineage
-        # operand specs: (variable name | None, prewrapped literal value,
-        # raw literal value).  Literal operands are wrapped once here —
-        # wrapped values are immutable by convention and in-place slots
-        # never point at literals (see liveness.mark_inplace)
-        specs = [(None if op.is_literal else op.name,
-                  wrap(op.value) if op.is_literal else None,
-                  op.value)
-                 for op in inst.operands]
-
-        # lineage binding specializes on the static scalarize flag:
-        # value-numbering needs the full _bind_lineage, plain tracing is a
-        # direct store into the lineage map.  Missing operand lineage
-        # surfaces through LineageMap.get for the proper error.
-        if scalarize:
-            def store(ctx, lmap, item):
-                bind(ctx, out, item)
-        else:
-            def store(ctx, lmap, item):
-                lmap._map[out] = item
-
-        if len(specs) == 2:
-            (n0, w0, r0), (n1, w1, r1) = specs
-
-            def run_binary(ctx):
-                symbols = ctx.symbols
-                v0 = w0 if n0 is None else symbols.get(n0)
-                v1 = w1 if n1 is None else symbols.get(n1)
-                result = None
-                if inplace_slots and ctx.allow_inplace:
-                    result = execute_inplace([v0, v1])
-                if result is None:
-                    result = kernel(v0, v1)
-                symbols.set(out, result)
-                if traced and not ctx.lineage_suppressed:
-                    lmap = ctx.lineage
-                    m = lmap._map
-                    i0 = lmap.literal(r0) if n0 is None else m.get(n0)
-                    i1 = lmap.literal(r1) if n1 is None else m.get(n1)
-                    if i0 is None or i1 is None:
-                        i0 = lmap.get(n0) if i0 is None else i0
-                        i1 = lmap.get(n1) if i1 is None else i1
-                    store(ctx, lmap, traced_item(opcode, (i0, i1)))
-            return run_binary
-
-        if len(specs) == 1:
-            n0, w0, r0 = specs[0]
-
-            def run_unary(ctx):
-                symbols = ctx.symbols
-                v0 = w0 if n0 is None else symbols.get(n0)
-                result = None
-                if inplace_slots and ctx.allow_inplace:
-                    result = execute_inplace([v0])
-                if result is None:
-                    result = kernel(v0)
-                symbols.set(out, result)
-                if traced and not ctx.lineage_suppressed:
-                    lmap = ctx.lineage
-                    i0 = (lmap.literal(r0) if n0 is None
-                          else lmap._map.get(n0))
-                    if i0 is None:
-                        i0 = lmap.get(n0)
-                    store(ctx, lmap, traced_item(opcode, (i0,)))
-            return run_unary
-
-        def run_compute(ctx):
-            symbols = ctx.symbols
-            values = [w if n is None else symbols.get(n)
-                      for n, w, _ in specs]
-            if inplace_slots and ctx.allow_inplace:
-                result = execute_inplace(values)
-                if result is None:
-                    result = kernel(*values)
-            else:
-                result = kernel(*values)
-            symbols.set(out, result)
-            if traced and not ctx.lineage_suppressed:
-                lmap = ctx.lineage
-                lget = lmap.get
-                item = traced_item(
-                    opcode,
-                    tuple(lmap.literal(raw) if n is None else lget(n)
-                          for n, _, raw in specs))
-                store(ctx, lmap, item)
-        return run_compute
 
     @staticmethod
     def _raise_located(inst, exc) -> None:
         """Re-raise an execution failure with script source context.
 
-        Subclasses of :class:`LimaRuntimeError` (worker crashes in
-        particular) are preserved, so callers that dispatch on the error
-        type — the parfor retry ladder — still see what happened.
+        :class:`LimaValueError` and subclasses of
+        :class:`LimaRuntimeError` (worker crashes in particular) are
+        preserved, so callers that dispatch on the error type — the
+        parfor retry ladder — still see what happened.
         """
         cls = LimaRuntimeError
-        if isinstance(exc, LimaRuntimeError):
+        if isinstance(exc, (LimaRuntimeError, LimaValueError)):
             if getattr(exc, "located", False) or not inst.line:
                 raise exc
             cls = type(exc)
@@ -561,22 +360,6 @@ class Interpreter:
             self._bind_lineage(ctx, name, item)
             if value is not None:
                 self._admit(item, value, item, elapsed)
-
-    def _record_leftindex(self, ctx, inst: LeftIndexInstruction,
-                          items) -> None:
-        """Record a left-index update for parfor result merge."""
-        rows = IndexInstruction.resolve_spec(inst.row_spec, ctx)
-        cols = IndexInstruction.resolve_spec(inst.col_spec, ctx)
-        source = inst.source.resolve(ctx)
-        if ctx.lineage_active and not inst.source.is_literal:
-            src_item = ctx.lineage.get_or_none(inst.source.name)
-        elif inst.source.is_literal:
-            src_item = ctx.lineage.literal(inst.source.value) \
-                if ctx.lineage_active else None
-        else:
-            src_item = None
-        ctx.leftindex_log.append(
-            (inst.output, rows, cols, source, src_item))
 
     # ------------------------------------------------------------------
     # function calls and eval
@@ -875,6 +658,250 @@ class Interpreter:
         _, douts = make_dedup_items(patch, actual_inputs, seeds)
         for name, item in douts.items():
             ctx.lineage.set(name, item)
+
+
+# ----------------------------------------------------------------------
+# handler compilation
+# ----------------------------------------------------------------------
+#
+# Handlers are shared by every interpreter that runs a program, so they
+# close over the instruction and the static profile only.  Per-run state
+# — cache, verifier, budget, memory share, fault site — is read through
+# ``ctx.interpreter`` at execution time.
+
+def _compile_handler(inst, config: LimaConfig, profile: tuple):
+    """Bind one instruction to a specialized execution closure.
+
+    ``profile`` is the interpreter's ``(cache present, budget armed,
+    fault site armed)``.  The ``exec.instruction`` fault site and the
+    :class:`RequestBudget` checks are compiled in only when armed:
+    unarmed, unbudgeted runs (the only kind outside chaos testing and
+    the service) get the bare handler with no per-execution check at
+    all.  With a budget, every instruction boundary is a cooperative
+    cancellation point: the running session's ``budget.tick`` counts the
+    instruction and raises ``DeadlineExceeded`` / ``SessionCancelled``
+    when the budget has tripped.
+    """
+    cached, budgeted, faulted = profile
+    handler = _build_handler(inst, config, cached)
+    if faulted:
+        handler = _fire_first(handler)
+    if budgeted:
+        handler = _tick_first(handler)
+    return handler
+
+
+def _fire_first(handler):
+    """``handler`` behind the running session's fault site."""
+    def run(ctx):
+        ctx.interpreter._exec_site.fire()
+        handler(ctx)
+    return run
+
+
+def _tick_first(handler):
+    """``handler`` behind the running session's budget check."""
+    def run(ctx):
+        ctx.interpreter.budget.tick()
+        handler(ctx)
+    return run
+
+
+def _reuse_eligible(inst, config: LimaConfig, cached: bool) -> bool:
+    """Can full reuse ever apply to ``inst`` under this profile?"""
+    return (cached and config.reuse_full
+            and inst.reusable and not inst.unmarked)
+
+
+def _build_handler(inst, config: LimaConfig, cached: bool):
+    """Specialize one instruction's execution closure.
+
+    Static facts — the instruction's class, whether lineage tracing is
+    configured at all, whether full reuse can ever apply to this
+    instruction under this profile — are resolved here, once.  Only
+    genuinely dynamic state (active dedup tracker, lineage suppression in
+    dedup fast mode) is checked per execution.
+    """
+    if isinstance(inst, VariableInstruction):
+        execute = inst.execute
+        return lambda ctx: execute(ctx, None)
+    if isinstance(inst, FunctionCallInstruction):
+        return lambda ctx: ctx.interpreter.execute_function_call(ctx, inst)
+    if isinstance(inst, EvalInstruction):
+        return lambda ctx: ctx.interpreter.execute_eval(ctx, inst)
+
+    preprocess = inst.preprocess
+    execute = inst.execute
+    is_leftindex = isinstance(inst, LeftIndexInstruction)
+
+    if isinstance(inst, ComputeInstruction):
+        handler = _compile_compute_handler(inst, config, cached)
+        if handler is not None:
+            return handler
+
+    if not config.lineage:
+        # static untraced path: no lineage, hence no reuse and no
+        # dedup; left-index updates are still recorded for parfor
+        if is_leftindex:
+            def run_untraced(ctx):
+                execute(ctx, preprocess(ctx))
+                if ctx.leftindex_log is not None:
+                    _record_leftindex(ctx, inst)
+            return run_untraced
+
+        def run_plain(ctx):
+            execute(ctx, preprocess(ctx))
+        return run_plain
+
+    lineage = inst.lineage
+    is_datagen = isinstance(inst, DataGenInstruction)
+    reuse_ok = _reuse_eligible(inst, config, cached)
+    single_out = len(inst.outputs) == 1
+
+    def run_traced(ctx):
+        state = preprocess(ctx)
+        tracker = ctx.dedup_tracker
+        if is_datagen and tracker is not None and state.get("system"):
+            tracker.record_seed(state["seed"])
+        items = lineage(ctx, state) if ctx.lineage_active else None
+        if reuse_ok and items is not None and tracker is None:
+            if single_out:
+                ctx.interpreter._execute_with_full_reuse(
+                    ctx, inst, state, items)
+            else:
+                ctx.interpreter._execute_multireturn_with_reuse(
+                    ctx, inst, state, items)
+            return
+        execute(ctx, state)
+        if items:
+            bind = ctx.interpreter._bind_lineage
+            for name, item in items.items():
+                bind(ctx, name, item)
+        if is_leftindex and ctx.leftindex_log is not None:
+            _record_leftindex(ctx, inst)
+    return run_traced
+
+
+def _compile_compute_handler(inst, config: LimaConfig, cached: bool):
+    """Fused fast path for :class:`ComputeInstruction`.
+
+    Pure n-in/1-out computations dominate elementwise workloads, so
+    their three-phase protocol (``preprocess``/``lineage``/``execute``)
+    is collapsed into one closure over prebound operand accessors and
+    the kernel.  Instructions that may go through the reuse machinery
+    keep the generic handler (``None`` is returned), as do data-gen,
+    indexing, and multi-return instructions.
+    """
+    if _reuse_eligible(inst, config, cached):
+        return None
+    opcode = inst.opcode
+    out = inst.output
+    kernel = inst.row.kernel
+    inplace_slots = inst.inplace_slots
+    execute_inplace = inst._execute_inplace
+    traced = config.lineage
+    # operand specs: (variable name | None, prewrapped literal value,
+    # raw literal value).  Literal operands are wrapped once here —
+    # wrapped values are immutable by convention and in-place slots
+    # never point at literals (see liveness.mark_inplace)
+    specs = [(None if op.is_literal else op.name,
+              wrap(op.value) if op.is_literal else None,
+              op.value)
+             for op in inst.operands]
+
+    # lineage binding specializes on the static scalarize flag
+    # (``config.reuse_enabled``, see Interpreter._scalarize):
+    # value-numbering needs the full _bind_lineage, plain tracing is a
+    # direct store into the lineage map.  Missing operand lineage
+    # surfaces through LineageMap.get for the proper error.
+    if config.reuse_enabled:
+        def store(ctx, lmap, item):
+            ctx.interpreter._bind_lineage(ctx, out, item)
+    else:
+        def store(ctx, lmap, item):
+            lmap._map[out] = item
+
+    if len(specs) == 2:
+        (n0, w0, r0), (n1, w1, r1) = specs
+
+        def run_binary(ctx):
+            symbols = ctx.symbols
+            v0 = w0 if n0 is None else symbols.get(n0)
+            v1 = w1 if n1 is None else symbols.get(n1)
+            result = None
+            if inplace_slots and ctx.allow_inplace:
+                result = execute_inplace([v0, v1])
+            if result is None:
+                result = kernel(v0, v1)
+            symbols.set(out, result)
+            if traced and not ctx.lineage_suppressed:
+                lmap = ctx.lineage
+                m = lmap._map
+                i0 = lmap.literal(r0) if n0 is None else m.get(n0)
+                i1 = lmap.literal(r1) if n1 is None else m.get(n1)
+                if i0 is None or i1 is None:
+                    i0 = lmap.get(n0) if i0 is None else i0
+                    i1 = lmap.get(n1) if i1 is None else i1
+                store(ctx, lmap, traced_item(opcode, (i0, i1)))
+        return run_binary
+
+    if len(specs) == 1:
+        n0, w0, r0 = specs[0]
+
+        def run_unary(ctx):
+            symbols = ctx.symbols
+            v0 = w0 if n0 is None else symbols.get(n0)
+            result = None
+            if inplace_slots and ctx.allow_inplace:
+                result = execute_inplace([v0])
+            if result is None:
+                result = kernel(v0)
+            symbols.set(out, result)
+            if traced and not ctx.lineage_suppressed:
+                lmap = ctx.lineage
+                i0 = (lmap.literal(r0) if n0 is None
+                      else lmap._map.get(n0))
+                if i0 is None:
+                    i0 = lmap.get(n0)
+                store(ctx, lmap, traced_item(opcode, (i0,)))
+        return run_unary
+
+    def run_compute(ctx):
+        symbols = ctx.symbols
+        values = [w if n is None else symbols.get(n)
+                  for n, w, _ in specs]
+        if inplace_slots and ctx.allow_inplace:
+            result = execute_inplace(values)
+            if result is None:
+                result = kernel(*values)
+        else:
+            result = kernel(*values)
+        symbols.set(out, result)
+        if traced and not ctx.lineage_suppressed:
+            lmap = ctx.lineage
+            lget = lmap.get
+            item = traced_item(
+                opcode,
+                tuple(lmap.literal(raw) if n is None else lget(n)
+                      for n, _, raw in specs))
+            store(ctx, lmap, item)
+    return run_compute
+
+
+def _record_leftindex(ctx, inst: LeftIndexInstruction) -> None:
+    """Record a left-index update for parfor result merge."""
+    rows = IndexInstruction.resolve_spec(inst.row_spec, ctx)
+    cols = IndexInstruction.resolve_spec(inst.col_spec, ctx)
+    source = inst.source.resolve(ctx)
+    if ctx.lineage_active and not inst.source.is_literal:
+        src_item = ctx.lineage.get_or_none(inst.source.name)
+    elif inst.source.is_literal:
+        src_item = ctx.lineage.literal(inst.source.value) \
+            if ctx.lineage_active else None
+    else:
+        src_item = None
+    ctx.leftindex_log.append(
+        (inst.output, rows, cols, source, src_item))
 
 
 def _wrap_literal(value) -> Value:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import LimaConfig, LimaSession
-from repro.errors import LimaRuntimeError
+from repro.errors import LimaRuntimeError, LimaValueError
 
 
 def run(script, inputs=None, config=None):
@@ -51,6 +51,18 @@ class TestErrorContext:
         with pytest.raises(LimaRuntimeError, match=r"\(mm\)"):
             run("bad = X %*% X;", {"X": small_x},
                 config=LimaConfig.hybrid())
+
+    @pytest.mark.parametrize("preset", ["base", "hybrid"])
+    @pytest.mark.parametrize("script, located", [
+        ('a = 1;\nx = sqrt("a");', r"line 2 \(sqrt\)"),
+        ("y = as.scalar(matrix(1, 2, 2));", r"line 1 \(as\.scalar\)"),
+        ('a = 1;\nb = "x" < 1;', r"line 2 \(<\)"),
+    ])
+    def test_value_errors_carry_line(self, preset, script, located):
+        # type and shape errors keep their class and gain the location
+        with pytest.raises(LimaValueError, match=located) as err:
+            run(script, config=getattr(LimaConfig, preset)())
+        assert str(err.value).count("line ") == 1
 
     def test_failed_reservation_is_released(self, small_x):
         # after an aborted computation, the same key can be retried

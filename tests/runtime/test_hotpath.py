@@ -70,9 +70,40 @@ class TestCompiledDispatch:
         block = program.blocks[0]
         assert isinstance(block, BasicBlock)
         interp.execute_basic(ctx, block)
-        first = interp._dispatch[id(block)]
+        first = block.handlers[interp._profile]
         interp.execute_basic(ctx, block)
-        assert interp._dispatch[id(block)] is first
+        assert block.handlers[interp._profile] is first
+
+    def test_interpreters_share_handlers_per_profile(self):
+        sess = LimaSession(LimaConfig.base())
+        program = sess.compile("out = 1 + 2;")
+        block = program.blocks[0]
+        lists = []
+        for _ in range(2):
+            interp = interp_mod.Interpreter(program, sess.config)
+            interp.execute_basic(interp.new_root_context(), block)
+            lists.append(block.handlers[interp._profile][1])
+        assert lists[0] is lists[1]
+
+    @pytest.mark.parametrize("preset", ["base", "hybrid"])
+    def test_handlers_compiled_once_per_session_script(self, preset,
+                                                       monkeypatch):
+        calls = []
+        compile_handler = interp_mod._compile_handler
+
+        def counting(*args):
+            calls.append(args[0])
+            return compile_handler(*args)
+
+        monkeypatch.setattr(interp_mod, "_compile_handler", counting)
+        sess = LimaSession(getattr(LimaConfig, preset)())
+        sess.run(SCRIPT, inputs={"X": X})
+        after_first = len(calls)
+        assert after_first > 0
+        for _ in range(4):
+            assert sess.run(SCRIPT, inputs={"X": X}).get("out") == \
+                _numpy_reference(X)
+        assert len(calls) == after_first
 
     def test_lt_trace_recomputes_value(self):
         result = LimaSession(LimaConfig.lt()).run(SCRIPT, inputs={"X": X})

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro import LimaConfig
+from repro import LimaConfig, LimaSession
 from repro.errors import (DeadlineExceeded, ResilienceWarning,
                           ServiceClosedError, ServiceOverloadedError,
                           SessionAborted, SessionCancelled)
@@ -287,6 +287,48 @@ class TestService:
             handle.result(30)
         assert profiler.total_count() > 0
         assert sum(profiler.cache_hits.values()) > 0
+
+
+class TestSharedHandlers:
+    """Sessions share one program's compiled handlers, but per-run state
+    (budget, cache) must stay with the running session."""
+
+    LOOP = "s = 0.0;\nfor (k in 1:100) { s = s + k; }\nprint(s);"
+
+    @pytest.mark.parametrize("capped_first", [False, True])
+    def test_budget_ticks_the_running_session(self, capped_first):
+        # either order fails when a handler kept the compiling
+        # session's budget
+        svc = Service(LimaConfig.hybrid(), workers=1, seed=7)
+        try:
+            def capped():
+                with pytest.raises(DeadlineExceeded, match="instruction"):
+                    svc.run(self.LOOP, max_instructions=50,
+                            result_timeout=30)
+
+            def uncapped():
+                result = svc.run(self.LOOP, result_timeout=30)
+                assert result.stats.outcome == "ok"
+                assert result.get("s") == 5050.0
+                assert result.stdout == ["5050"]
+
+            for step in ((capped, uncapped) if capped_first
+                         else (uncapped, capped)):
+                step()
+        finally:
+            svc.shutdown(drain=False, timeout=10)
+
+    def test_passthrough_after_cached_run(self, X):
+        sess = LimaSession(LimaConfig.hybrid())
+        cached = sess.execute(SHARED_SCRIPT, {"X": X}, seed=1, output=[])
+        probes = sess.cache.stats.probes
+        assert probes > 0
+        output = []
+        ctx = sess.execute(SHARED_SCRIPT, {"X": X}, seed=1, output=output,
+                           passthrough=True)
+        assert sess.cache.stats.probes == probes
+        assert ctx.symbols.get("v").value == cached.symbols.get("v").value
+        assert output == cached.output
 
 
 class TestSessionApiBudget:

@@ -1,9 +1,13 @@
 """Tests of the public LimaSession / RunResult API."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import LimaConfig, LimaError, LimaSession
+from repro.api import input_leaf_item
+from repro.data.values import MatrixValue
 
 
 class TestSessionBasics:
@@ -72,6 +76,16 @@ class TestLineageApi:
         r1 = sess.run("out = X;", inputs={"X": small_x})
         r2 = sess.run("out = X;", inputs={"X": small_x.copy()})
         assert r1.lineage("out") == r2.lineage("out")
+
+    @pytest.mark.parametrize("layout", ["C", "F", "T", "cols"])
+    def test_input_digest_matches_copied_bytes(self, layout):
+        base = np.arange(48.0).reshape(6, 8)
+        data = {"C": base, "F": np.asfortranarray(base), "T": base.T,
+                "cols": base[:, 2:5]}[layout]
+        digest = hashlib.sha1(
+            np.ascontiguousarray(data).tobytes()).hexdigest()[:16]
+        item = input_leaf_item("X", MatrixValue(data))
+        assert item.data == f"X:{digest}"
 
     def test_reuse_across_runs_through_shared_cache(self, small_x):
         sess = LimaSession(LimaConfig.hybrid())
